@@ -4,9 +4,8 @@
 //! (activity sets + next-event skip). Not a paper artifact — this guards
 //! the reproduction's own usability.
 //!
-//! Unlike the figure/table benches this target is a plain deterministic
-//! harness (no Criterion statistics): every point is one seeded build plus
-//! one timed run, so the output doubles as a machine-readable trajectory.
+//! Every point is one seeded build plus one timed run, so the output
+//! doubles as a machine-readable trajectory.
 //! Three jobs:
 //!
 //! 1. **Trajectory** — writes `BENCH_simperf.json` (schema
@@ -32,7 +31,7 @@
 //! RACKNI_SIMPERF_GATE=off cargo bench --bench simperf
 //! ```
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::time::Instant;
 
 use rackni::experiments::{build_idle_rack_point, build_rack_point};
@@ -41,7 +40,7 @@ use rackni::ni_soc::{
     Bursty, Chip, ChipConfig, Rack, RackSimConfig, Synthetic, TickMode, TrafficPattern, Workload,
 };
 use rackni::parallel::default_threads;
-use rackni::report::{f1, Table};
+use rackni::report::{f1, workspace_root, BenchRecord, Fields, Table};
 
 /// One measured point of the simulator-performance trajectory.
 struct Measured {
@@ -119,14 +118,8 @@ fn build_bursty_rack(dims: (u16, u16, u16), mode: TickMode) -> Rack {
     Rack::with_scenario(cfg, &scenario)
 }
 
-fn workspace_root() -> PathBuf {
-    // crates/bench -> workspace root; independent of the invoker's cwd
-    // (cargo bench runs the binary from the package directory).
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
-}
-
-/// Extract `"key": <number>` from a single JSON row (the files this bench
-/// writes put one point per line, so line-wise scanning is exact).
+/// Extract `"key": <number>` from a single JSON row (a `BenchRecord` puts
+/// one point per line, so line-wise scanning is exact).
 fn json_num(line: &str, key: &str) -> Option<f64> {
     let pat = format!("\"{key}\": ");
     let start = line.find(&pat)? + pat.len();
@@ -256,22 +249,22 @@ fn main() {
 
     // Trajectory file, one point per line (the baseline reader depends on
     // the line-wise layout).
-    let rows: Vec<String> = results
-        .iter()
-        .map(|m| {
-            format!(
-                r#"    {{"name": "{}", "cycles": {}, "wall_ms": {:.2}, "cps": {:.1}, "completed_ops": {}}}"#,
-                m.name, m.cycles, m.wall_ms, m.cps, m.completed_ops
-            )
-        })
-        .collect();
-    let json = format!(
-        "{{\n  \"schema\": \"rackni-bench-simperf/1\",\n  \"host_threads\": {},\n  \"points\": [\n{}\n  ]\n}}\n",
-        default_threads(),
-        rows.join(",\n")
+    let mut record = BenchRecord::new(
+        "simperf",
+        1,
+        Fields::new().int("host_threads", default_threads()),
     );
-    let out = workspace_root().join("BENCH_simperf.json");
-    std::fs::write(&out, &json).expect("write BENCH_simperf.json");
+    for m in &results {
+        record.push(
+            Fields::new()
+                .str("name", &m.name)
+                .int("cycles", m.cycles)
+                .float("wall_ms", m.wall_ms, 2)
+                .float("cps", m.cps, 1)
+                .int("completed_ops", m.completed_ops),
+        );
+    }
+    let out = record.write().expect("write BENCH_simperf.json");
     println!("\nsimperf trajectory written to {}", out.display());
 
     if std::env::var("RACKNI_SIMPERF_GATE").as_deref() == Ok("off") {

@@ -1,7 +1,7 @@
 //! One entry point per table/figure of the paper's evaluation.
 //!
 //! Every function returns structured data and can render a paper-style
-//! table; the `ni-bench` harness prints paper-vs-measured side by side.
+//! table; the `paper_tables` bench prints paper-vs-measured side by side.
 //! Experiment scale (operations per point, window sizes) accepts a
 //! [`Scale`] so CI runs stay fast while full runs match the paper's
 //! methodology.
@@ -37,6 +37,14 @@ impl Scale {
         match std::env::var("RACKNI_SCALE").as_deref() {
             Ok("full") => Scale::Full,
             _ => Scale::Quick,
+        }
+    }
+
+    /// Lower-case name, as `RACKNI_SCALE` spells it.
+    pub fn name(self) -> &'static str {
+        match self {
+            Scale::Quick => "quick",
+            Scale::Full => "full",
         }
     }
 
@@ -474,6 +482,38 @@ pub fn nicache_ablation(scale: Scale) -> (f64, f64) {
     let off = runs.pop().expect("two runs");
     let on = runs.pop().expect("two runs");
     (on.mean_cycles, off.mean_cycles)
+}
+
+/// Ablation A3 (extension): NIedge single-block latency as the edge
+/// frontend overlaps polls of distinct QPs, against NUMA and NIsplit.
+#[derive(Clone, Debug)]
+pub struct FeConcurrencyAblation {
+    /// NUMA E2E cycles (the floor).
+    pub numa_cycles: f64,
+    /// NIsplit E2E cycles (frontend concurrency does not apply).
+    pub split_cycles: f64,
+    /// NIedge E2E cycles per `fe_poll_concurrency` of 1, 2, 4 and 8.
+    pub edge_cycles: Vec<(usize, f64)>,
+}
+
+/// Ablation A3: how much of NIedge's latency penalty is frontend
+/// scheduling (recoverable by polling QPs concurrently) rather than QP
+/// blocks ping-ponging across the mesh (recoverable only by NIsplit).
+pub fn fe_concurrency_ablation(scale: Scale) -> FeConcurrencyAblation {
+    let ops = match scale {
+        Scale::Quick => 8,
+        Scale::Full => 50,
+    };
+    let latency = |c: ChipConfig| run_sync_latency(c, 64, ops).mean_cycles;
+    FeConcurrencyAblation {
+        numa_cycles: latency(cfg_for(NiPlacement::Numa, Topology::Mesh)),
+        split_cycles: latency(ChipConfig::default()),
+        edge_cycles: par_map(vec![1usize, 2, 4, 8], |k| {
+            let mut c = cfg_for(NiPlacement::Edge, Topology::Mesh);
+            c.rmc.fe_poll_concurrency = k;
+            (k, latency(c))
+        }),
+    }
 }
 
 /// One point of the multi-node rack-scale sweep.
@@ -991,13 +1031,8 @@ pub fn routing_sweep(scale: Scale) -> Vec<RoutingPoint> {
     routing_sweep_at(scale, (4, 4, 4))
 }
 
-/// Render the routing sweep, grouped by scenario, with the DOR-relative
-/// skew and p99 deltas that make the comparison legible.
-pub fn routing_sweep_render(scale: Scale) -> String {
-    routing_points_render(&routing_sweep(scale))
-}
-
-/// Render any routing-sweep grid (see [`routing_sweep_render`]).
+/// Render a routing-sweep grid, grouped by scenario, with the
+/// DOR-relative skew and p99 deltas that make the comparison legible.
 pub fn routing_points_render(pts: &[RoutingPoint]) -> String {
     let mut t = Table::new(&[
         "scenario",

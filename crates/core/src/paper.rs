@@ -1,5 +1,5 @@
 //! The paper's published numbers, kept here so every benchmark can print
-//! paper-vs-measured side by side (EXPERIMENTS.md records the comparison).
+//! paper-vs-measured side by side (the `paper_tables` bench target).
 
 /// Table 1 / Table 3, NIedge (QP-based model), 2 GHz cycles.
 pub mod table3_edge {

@@ -1,6 +1,8 @@
-//! Plain-text table formatting for the benchmark harness.
+//! Plain-text tables and `BENCH_*.json` records for the benchmark harness.
 
-use std::fmt::Write as _;
+use std::fmt::{Display, Write as _};
+use std::io;
+use std::path::{Path, PathBuf};
 
 /// A simple fixed-width table printer.
 ///
@@ -80,6 +82,120 @@ pub fn pct(x: f64) -> String {
     format!("{x:.1}%")
 }
 
+/// The workspace root, where every `BENCH_*.json` record lands regardless
+/// of the invoker's working directory (`cargo bench` runs its binaries
+/// from the package directory, `cargo run` from wherever it was called).
+pub fn workspace_root() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+        .ancestors()
+        .nth(2)
+        .expect("crates/core sits two levels below the workspace root")
+        .to_path_buf()
+}
+
+/// An ordered set of JSON fields: one header scalar each, or one point of
+/// a [`BenchRecord`].
+#[derive(Debug, Default)]
+pub struct Fields(Vec<(&'static str, String)>);
+
+impl Fields {
+    /// An empty field set.
+    pub fn new() -> Fields {
+        Fields::default()
+    }
+
+    /// A string field. Values are plain labels (names, `4x4x4` shapes);
+    /// `Debug` quoting escapes any quote or backslash.
+    pub fn str(mut self, key: &'static str, value: &str) -> Fields {
+        self.0.push((key, format!("{value:?}")));
+        self
+    }
+
+    /// An integer field.
+    pub fn int(mut self, key: &'static str, value: impl Display) -> Fields {
+        self.0.push((key, value.to_string()));
+        self
+    }
+
+    /// A boolean field.
+    pub fn bool(mut self, key: &'static str, value: bool) -> Fields {
+        self.0.push((key, value.to_string()));
+        self
+    }
+
+    /// A float field with `decimals` places. JSON has no NaN or infinity,
+    /// so a non-finite value is written as `null`.
+    pub fn float(mut self, key: &'static str, value: f64, decimals: usize) -> Fields {
+        let v = if value.is_finite() {
+            format!("{value:.decimals$}")
+        } else {
+            "null".to_string()
+        };
+        self.0.push((key, v));
+        self
+    }
+}
+
+/// One machine-readable bench record, `BENCH_<name>.json` at the
+/// [`workspace_root`]: the schema tag `rackni-bench-<name>/<version>`, the
+/// header scalars, then `"points"` with one point per line. Readers may
+/// scan the file line by line (the simperf baseline reader does), so the
+/// layout is part of the format.
+#[derive(Debug)]
+pub struct BenchRecord {
+    name: &'static str,
+    version: u32,
+    header: Fields,
+    points: Vec<Fields>,
+}
+
+impl BenchRecord {
+    /// Start a record whose header carries `header` after the schema tag.
+    pub fn new(name: &'static str, version: u32, header: Fields) -> BenchRecord {
+        BenchRecord {
+            name,
+            version,
+            header,
+            points: Vec::new(),
+        }
+    }
+
+    /// Append one point.
+    pub fn push(&mut self, point: Fields) {
+        self.points.push(point);
+    }
+
+    /// The record as JSON text.
+    pub fn render(&self) -> String {
+        let mut out = format!(
+            "{{\n  \"schema\": \"rackni-bench-{}/{}\",\n",
+            self.name, self.version
+        );
+        for (k, v) in &self.header.0 {
+            let _ = writeln!(out, "  \"{k}\": {v},");
+        }
+        let points: Vec<String> = self
+            .points
+            .iter()
+            .map(|p| {
+                let fields: Vec<String> =
+                    p.0.iter().map(|(k, v)| format!("\"{k}\": {v}")).collect();
+                format!("    {{{}}}", fields.join(", "))
+            })
+            .collect();
+        let _ = write!(out, "  \"points\": [\n{}\n  ]\n}}\n", points.join(",\n"));
+        out
+    }
+
+    /// Write the record to `BENCH_<name>.json` at the workspace root and
+    /// return the path written.
+    pub fn write(&self) -> io::Result<PathBuf> {
+        let path = workspace_root().join(format!("BENCH_{}.json", self.name));
+        std::fs::write(&path, self.render())?;
+        Ok(path)
+    }
+}
+
 /// Wall-clock stopwatch for *reporting* simulator throughput.
 ///
 /// This is the single sanctioned wall-clock reading point in the
@@ -135,6 +251,31 @@ mod tests {
     fn arity_mismatch_panics() {
         let mut t = Table::new(&["a"]);
         t.row(&["1", "2"]);
+    }
+
+    #[test]
+    fn bench_record_layout() {
+        let mut r = BenchRecord::new("demo", 2, Fields::new().str("scale", "quick").int("n", 3));
+        r.push(Fields::new().str("name", "a").bool("ok", true));
+        r.push(Fields::new().str("name", "b").float("x", 2.0, 3));
+        assert_eq!(
+            r.render(),
+            "{\n  \"schema\": \"rackni-bench-demo/2\",\n  \"scale\": \"quick\",\n  \"n\": 3,\n  \
+             \"points\": [\n    {\"name\": \"a\", \"ok\": true},\n    \
+             {\"name\": \"b\", \"x\": 2.000}\n  ]\n}\n"
+        );
+    }
+
+    #[test]
+    fn non_finite_floats_are_null() {
+        let f = Fields::new()
+            .float("a", f64::NAN, 4)
+            .float("b", f64::INFINITY, 4);
+        let s = BenchRecord::new("demo", 1, f.float("c", 1.5, 4)).render();
+        assert!(
+            s.contains("\"a\": null,\n  \"b\": null,\n  \"c\": 1.5000,"),
+            "{s}"
+        );
     }
 
     #[test]

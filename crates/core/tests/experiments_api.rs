@@ -1,7 +1,9 @@
 //! Tests of the experiment layer itself: each table/figure function must
 //! produce structurally valid, paper-shaped output at quick scale.
 
-use rackni::experiments::{self, fig5, latency_vs_size, nicache_ablation, table1, table3, Scale};
+use rackni::experiments::{
+    self, fe_concurrency_ablation, fig5, latency_vs_size, nicache_ablation, table1, table3, Scale,
+};
 use rackni::ni_rmc::NiPlacement;
 use rackni::ni_soc::Topology;
 
@@ -119,6 +121,26 @@ fn nicache_owned_state_saves_cycles() {
     assert!(
         off > on,
         "disabling the Owned state must cost latency: on {on}, off {off}"
+    );
+}
+
+#[test]
+fn edge_poll_concurrency_helps_but_never_reaches_split() {
+    let a = fe_concurrency_ablation(Scale::Quick);
+    let ks: Vec<usize> = a.edge_cycles.iter().map(|&(k, _)| k).collect();
+    assert_eq!(ks, [1, 2, 4, 8]);
+    for w in a.edge_cycles.windows(2) {
+        assert!(
+            w[1].1 <= w[0].1,
+            "more poll concurrency must not cost latency: {:?}",
+            a.edge_cycles
+        );
+    }
+    let k8 = a.edge_cycles[3].1;
+    assert!(
+        k8 > a.split_cycles,
+        "a concurrent edge frontend must stay above NI_split: k=8 {k8} vs split {}",
+        a.split_cycles
     );
 }
 

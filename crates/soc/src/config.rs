@@ -135,6 +135,10 @@ mod tests {
         assert_eq!(c.n_edge(), 8);
         assert_eq!(c.placement, NiPlacement::Split);
         assert_eq!(c.routing, RoutingPolicy::CdrNi);
+        // Table 2: 50ns memory, 35ns per network hop, 128-entry WQs.
+        assert_eq!(c.mem.latency, 100);
+        assert_eq!(c.rack.hop_cycles, 70);
+        assert_eq!(c.qp.wq_entries, 128);
     }
 
     #[test]

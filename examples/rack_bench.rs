@@ -37,13 +37,12 @@
 //! the design the paper scales to the full rack, and the config that keeps
 //! a fully simulated 512-node rack inside CI budgets.
 
-use std::fmt::Write as _;
 use std::time::Instant;
 
 use rackni::experiments::{build_idle_rack_point, build_rack_point, Scale};
 use rackni::ni_soc::{TickMode, TrafficPattern};
 use rackni::parallel::default_threads;
-use rackni::report::{f1, Table};
+use rackni::report::{f1, BenchRecord, Fields, Table};
 
 /// Traffic shape of one benchmark point.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -164,7 +163,13 @@ fn main() {
         "ops",
         "hops",
     ]);
-    let mut rows = Vec::new();
+    let mut record = BenchRecord::new(
+        "rack",
+        2,
+        Fields::new()
+            .str("scale", scale.name())
+            .int("host_threads", host_threads),
+    );
     for &(shape, dims, cycles) in &points {
         let nodes = u32::from(dims.0) * u32::from(dims.1) * u32::from(dims.2);
         // Rack::run clamps its pool to the chip count; report the workers
@@ -202,18 +207,22 @@ fn main() {
             serial.fp.completed_ops.to_string(),
             serial.fp.hops.to_string(),
         ]);
-        rows.push(format!(
-            r#"    {{"scenario": "{scen}", "torus": "{x}x{y}x{z}", "nodes": {nodes}, "cycles": {cycles}, "serial_cps": {scps:.1}, "parallel_cps": {pcps:.1}, "threads": {eff_threads}, "speedup": {speedup:.4}, "wall_ms_serial": {swall:.1}, "wall_ms_parallel": {pwall:.1}, "build_ms": {bms:.1}, "completed_ops": {ops}, "hops": {hops}}}"#,
-            scen = shape.name(),
-            x = dims.0,
-            y = dims.1,
-            z = dims.2,
-            scps = serial.cps,
-            swall = serial.wall_ms,
-            bms = serial.build_ms,
-            ops = serial.fp.completed_ops,
-            hops = serial.fp.hops,
-        ));
+        record.push(
+            Fields::new()
+                .str("scenario", shape.name())
+                .str("torus", &format!("{}x{}x{}", dims.0, dims.1, dims.2))
+                .int("nodes", nodes)
+                .int("cycles", cycles)
+                .float("serial_cps", serial.cps, 1)
+                .float("parallel_cps", pcps, 1)
+                .int("threads", eff_threads)
+                .float("speedup", speedup, 4)
+                .float("wall_ms_serial", serial.wall_ms, 1)
+                .float("wall_ms_parallel", pwall, 1)
+                .float("build_ms", serial.build_ms, 1)
+                .int("completed_ops", serial.fp.completed_ops)
+                .int("hops", serial.fp.hops),
+        );
     }
     println!("{}", table.render());
     if host_threads > 1 {
@@ -228,20 +237,6 @@ fn main() {
         );
     }
 
-    let mut json = String::new();
-    let _ = writeln!(json, "{{");
-    let _ = writeln!(json, r#"  "schema": "rackni-bench-rack/2","#);
-    let _ = writeln!(
-        json,
-        r#"  "scale": "{}","#,
-        format!("{scale:?}").to_lowercase()
-    );
-    let _ = writeln!(json, r#"  "host_threads": {host_threads},"#);
-    let _ = writeln!(json, r#"  "points": ["#);
-    let _ = writeln!(json, "{}", rows.join(",\n"));
-    let _ = writeln!(json, "  ]");
-    let _ = writeln!(json, "}}");
-    let path = "BENCH_rack.json";
-    std::fs::write(path, &json).expect("write BENCH_rack.json");
-    println!("\nthroughput trajectory written to {path}");
+    let path = record.write().expect("write BENCH_rack.json");
+    println!("\nthroughput trajectory written to {}", path.display());
 }
