@@ -204,6 +204,20 @@ impl<T> DelayLine<T> {
         }
     }
 
+    /// Every item due before `end` that `keep` selects, in the order
+    /// [`pop_ready`](DelayLine::pop_ready) would yield them (ready time,
+    /// then insertion order), without removing any.
+    pub fn pending_before(&self, end: Cycle, mut keep: impl FnMut(&T) -> bool) -> Vec<(Cycle, &T)> {
+        let mut due: Vec<&Pending<T>> = self
+            .heap
+            .iter()
+            .map(|p| &p.0)
+            .filter(|p| p.ready_at < end && keep(&p.item))
+            .collect();
+        due.sort_unstable_by_key(|p| (p.ready_at, p.seq));
+        due.into_iter().map(|p| (p.ready_at, &p.item)).collect()
+    }
+
     /// Ready time of the earliest scheduled item.
     pub fn next_ready_at(&self) -> Option<Cycle> {
         self.heap.peek().map(|p| p.0.ready_at)
@@ -275,6 +289,22 @@ mod tests {
         assert_eq!(d.pop_ready(Cycle(10)), Some('x'));
         assert_eq!(d.pop_ready(Cycle(10)), Some('y'));
         assert!(d.is_empty());
+    }
+
+    #[test]
+    fn pending_before_peeks_in_pop_order() {
+        let mut d = DelayLine::new();
+        d.push_at(Cycle(10), 'x');
+        d.push_at(Cycle(12), 'w');
+        d.push_at(Cycle(10), 'y');
+        d.push_at(Cycle(5), 'z');
+        d.push_at(Cycle(7), 'q');
+        let due = d.pending_before(Cycle(12), |&c| c != 'q');
+        assert_eq!(
+            due,
+            vec![(Cycle(5), &'z'), (Cycle(10), &'x'), (Cycle(10), &'y')]
+        );
+        assert_eq!(d.len(), 5, "peeking removes nothing");
     }
 
     #[test]

@@ -53,7 +53,7 @@ pub trait Fabric {
     /// this exactly once per cycle per fabric instance (a chip ticks the
     /// fabric it owns; a rack driver ticks the shared transport itself and
     /// hands each chip a buffered [`FabricPort`](crate::FabricPort) whose
-    /// `tick` is a no-op).
+    /// `tick` only notes the chip's clock).
     fn tick(&mut self, now: Cycle);
 
     /// Next response due at `node` by `now`, if any.

@@ -334,6 +334,39 @@ impl FaultPlan {
         ev.sort_by_key(FaultEvent::at_cycle);
         ev
     }
+
+    /// When `node` is up, as this plan schedules it: the same verdict the
+    /// fabric reaches at any cycle after applying every event due by then.
+    pub(crate) fn node_liveness(&self, node: u32) -> NodeLiveness {
+        let flips = self
+            .sorted_events()
+            .into_iter()
+            .filter_map(|e| match e {
+                FaultEvent::NodeDown { node: n, at_cycle } if n == node => Some((at_cycle, false)),
+                FaultEvent::NodeUp { node: n, at_cycle } if n == node => Some((at_cycle, true)),
+                _ => None,
+            })
+            .collect();
+        NodeLiveness { flips }
+    }
+}
+
+/// One node's scheduled liveness over time ([`FaultPlan::node_liveness`]):
+/// what lets a rack decide, ahead of the fabric, whether a delivery due at
+/// a future cycle will be dropped by a dead node. The default is a node
+/// that never dies.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub(crate) struct NodeLiveness {
+    /// `(cycle, up from then on)`, in firing order.
+    flips: Vec<(u64, bool)>,
+}
+
+impl NodeLiveness {
+    /// True when the node is up at `cycle` (after every event due by it).
+    pub(crate) fn up_at(&self, cycle: u64) -> bool {
+        let due = self.flips.partition_point(|&(at, _)| at <= cycle);
+        due == 0 || self.flips[due - 1].1
+    }
 }
 
 #[cfg(test)]
@@ -469,5 +502,24 @@ mod tests {
         for w in downs.chunks(2) {
             assert_ne!(w[0].0, w[1].0, "a wave must not kill one node twice");
         }
+    }
+
+    #[test]
+    fn node_liveness_follows_the_stable_firing_order() {
+        // Out of insertion order, with a same-cycle down/up pair: the later
+        // insertion wins, exactly as the fabric applies them.
+        let p = FaultPlan::new()
+            .node_up(2, 300)
+            .node_down(2, 100)
+            .link_down(0, 1, 150)
+            .node_down(2, 300)
+            .node_up(2, 300)
+            .node_down(4, 50);
+        let l = p.node_liveness(2);
+        assert!(l.up_at(0) && l.up_at(99));
+        assert!(!l.up_at(100) && !l.up_at(299));
+        assert!(l.up_at(300) && l.up_at(u64::MAX));
+        assert!(p.node_liveness(1).up_at(500), "link faults leave nodes up");
+        assert_eq!(NodeLiveness::default(), p.node_liveness(7));
     }
 }

@@ -20,8 +20,10 @@
 //!
 //! Multi-node racks couple chips to the shared [`TorusFabric`] through
 //! buffered per-node [`port::FabricPort`] endpoints, letting every chip of a
-//! lock-step rack tick on its own host thread while the driver merges the
-//! port buffers deterministically between cycles.
+//! lock-step rack tick on its own host thread while the driver exchanges
+//! the port buffers with the fabric deterministically between compute
+//! phases — per cycle, or per lookahead quantum of
+//! [`TorusFabric::lookahead`] cycles.
 //!
 //! Path selection on the torus is itself pluggable: the transport consults
 //! a [`routing::RoutingPolicy`] on every hop, with deterministic dimension

@@ -38,7 +38,8 @@ use std::collections::VecDeque;
 use ni_engine::{Counter, Cycle, DelayLine, Frequency, LinkLoad};
 
 use crate::fabric::{Fabric, FabricStats};
-use crate::fault::{FaultEvent, FaultPlan};
+use crate::fault::{FaultEvent, FaultPlan, NodeLiveness};
+use crate::port::FabricPort;
 use crate::rack::{RemoteReq, RemoteResp};
 use crate::routing::{LinkView, RoutingKind, RoutingPolicy, ESCAPE_HOP_BUDGET};
 use crate::torus::{Dir, Torus3D};
@@ -80,7 +81,7 @@ impl Default for TorusFabricConfig {
 
 /// What travels the wires.
 #[derive(Clone, Copy, Debug)]
-enum TorusPkt {
+pub(crate) enum TorusPkt {
     Req(RemoteReq),
     Resp(RemoteResp),
 }
@@ -225,6 +226,10 @@ pub struct TorusFabric {
     /// per-hop liveness check, so a healthy run pays nothing for the fault
     /// machinery.
     has_faults: bool,
+    /// Per-node liveness schedules (empty when `has_faults` is false): the
+    /// dead-node rule at a *future* cycle, for [`TorusFabric::open_quantum`]
+    /// and the ports it builds.
+    liveness: Vec<NodeLiveness>,
     /// Per-hop routing decision procedure (see [`RoutingPolicy`]).
     policy: Box<dyn RoutingPolicy>,
     stats: FabricStats,
@@ -294,6 +299,11 @@ impl TorusFabric {
                 .collect(),
             node_up: vec![true; n],
             has_faults: !fault_events.is_empty(),
+            liveness: if fault_events.is_empty() {
+                Vec::new()
+            } else {
+                (0..n as u32).map(|v| cfg.faults.node_liveness(v)).collect()
+            },
             fault_events,
             next_fault: 0,
             policy,
@@ -619,6 +629,54 @@ impl TorusFabric {
     /// driver to run (or skip) its per-node collection scan.
     pub fn has_deliveries(&self) -> bool {
         self.queued != 0
+    }
+
+    /// The transport's lookahead, in cycles: a packet injected or relayed
+    /// at cycle `t` reaches its next node no earlier than `t +
+    /// lookahead()`. Every packet is at least two flits (32 bytes), so its
+    /// serialization takes at least one cycle on top of the `hop_cycles`
+    /// wire. This is what licenses [`open_quantum`](Self::open_quantum);
+    /// self-addressed packets, delivered after one cycle, are the ports'
+    /// business (see [`FabricPort`]).
+    pub fn lookahead(&self) -> u64 {
+        self.cfg.hop_cycles + 1
+    }
+
+    /// The buffered endpoint of `node` for a rack over this fabric, told
+    /// the node's scheduled liveness (see [`FabricPort`]).
+    pub fn port(&self, node: u16) -> FabricPort {
+        let liveness = self
+            .liveness
+            .get(usize::from(node))
+            .cloned()
+            .unwrap_or_default();
+        FabricPort::with_liveness(node, liveness)
+    }
+
+    /// Open a lookahead quantum ending (exclusive) at `end`, at most
+    /// [`lookahead`](Self::lookahead) cycles past the next cycle to
+    /// [`tick`](Fabric::tick): hand every port, in node-id order of
+    /// `ports`, each final-hop delivery due to its node before `end` —
+    /// stamped with its arrival cycle, in the order `tick` will make it
+    /// (arrival cycle, then wire order), minus the packets the dead-node
+    /// rule will drop on arrival. Nothing leaves the wires: replaying the
+    /// quantum makes the same deliveries, which
+    /// [`FabricPort::consume_arrivals`] checks off.
+    pub fn open_quantum(&self, end: Cycle, ports: &[FabricPort]) {
+        for port in ports {
+            port.open_quantum(end);
+        }
+        let due = self
+            .wires
+            .pending_before(end, |t| u32::from(t.pkt.dest()) == t.at_node);
+        for (at, t) in due {
+            if self.has_faults && !self.liveness[t.at_node as usize].up_at(at.0) {
+                continue;
+            }
+            let port = &ports[t.at_node as usize];
+            debug_assert_eq!(u32::from(port.node()), t.at_node, "ports in node-id order");
+            port.hand(at, t.pkt);
+        }
     }
 }
 

@@ -79,6 +79,56 @@ impl NocImpl {
     }
 }
 
+/// A dense `NocNode → component index` map over one chip's endpoints,
+/// built once at construction: the per-visit lookups of the dispatch paths
+/// index a `Vec` instead of searching a `BTreeMap`. Slots interleave the
+/// four endpoint kinds (`4 * local index + kind`), so the table needs no
+/// geometry up front.
+#[derive(Debug, Default)]
+struct NodeTable(Vec<usize>);
+
+impl NodeTable {
+    const ABSENT: usize = usize::MAX;
+
+    fn slot(node: NocNode) -> usize {
+        match node {
+            NocNode::Tile(c) => {
+                // Tiles are laid out eight to a row (see `tile_node`).
+                debug_assert!(c.x < 8, "tile column {} past the 8-wide layout", c.x);
+                4 * (usize::from(c.y) * 8 + usize::from(c.x))
+            }
+            NocNode::NiBlock(r) => 4 * usize::from(r) + 1,
+            NocNode::Llc(c) => 4 * usize::from(c) + 2,
+            NocNode::Mc(r) => 4 * usize::from(r) + 3,
+        }
+    }
+
+    fn insert(&mut self, node: NocNode, index: usize) {
+        let slot = Self::slot(node);
+        if slot >= self.0.len() {
+            self.0.resize(slot + 1, Self::ABSENT);
+        }
+        self.0[slot] = index;
+    }
+
+    fn get(&self, node: NocNode) -> Option<usize> {
+        self.0
+            .get(Self::slot(node))
+            .copied()
+            .filter(|&i| i != Self::ABSENT)
+    }
+}
+
+impl std::ops::Index<NocNode> for NodeTable {
+    type Output = usize;
+
+    fn index(&self, node: NocNode) -> &usize {
+        let i = &self.0[Self::slot(node)];
+        assert!(*i != Self::ABSENT, "no component at {node:?}");
+        i
+    }
+}
+
 /// Co-located (latch) deliveries between components at the same node.
 #[derive(Debug)]
 enum Latch {
@@ -105,9 +155,9 @@ pub struct Chip {
     noc: NocImpl,
     /// Tile complexes `[0..n_cores)`, then edge NI complexes (NIedge only).
     complexes: Vec<CacheComplex>,
-    complex_index: BTreeMap<NocNode, usize>,
+    complex_index: NodeTable,
     dirs: Vec<DirectoryBank>,
-    dir_index: BTreeMap<NocNode, usize>,
+    dir_index: NodeTable,
     mcs: Vec<MemoryController>,
     mc_pending: BTreeMap<u64, (NocNode, bool)>,
     mc_seq: u64,
@@ -116,19 +166,20 @@ pub struct Chip {
     /// Cores, one per tile.
     pub cores: Vec<Core>,
     frontends: Vec<NiFrontend>,
-    fe_index: BTreeMap<NocNode, usize>,
-    /// Frontend index serving each complex index (for NI completions).
-    fe_of_complex: BTreeMap<usize, usize>,
+    fe_index: NodeTable,
+    /// Frontend index serving each complex index (for NI completions;
+    /// [`NodeTable::ABSENT`] for complexes without one).
+    fe_of_complex: Vec<usize>,
     backends: Vec<NiBackend>,
-    backend_index: BTreeMap<NocNode, usize>,
+    backend_index: NodeTable,
     rrpps: Vec<Rrpp>,
     /// This chip's node id in the rack.
     node_id: u16,
     /// The rack fabric behind the network router: the rate-matching
     /// emulator for single-node runs, or a buffered
     /// [`ni_fabric::FabricPort`] the multi-node rack driver exchanges with
-    /// the real transport between cycles. `Send` so whole chips can tick on
-    /// worker threads.
+    /// the real transport between compute phases. `Send` so whole chips can
+    /// tick on worker threads.
     fabric: Box<dyn Fabric + Send>,
     /// Collected latency tomography.
     pub traces: TraceTable,
@@ -261,7 +312,7 @@ impl Chip {
         // Tile complexes: NI cache present when frontends are per tile.
         let per_tile_fe = cfg.placement.frontend_per_tile();
         let mut complexes = Vec::new();
-        let mut complex_index = BTreeMap::new();
+        let mut complex_index = NodeTable::default();
         for i in 0..n {
             let node = tile_node(i);
             complex_index.insert(node, complexes.len());
@@ -285,7 +336,7 @@ impl Chip {
 
         // Directory banks.
         let mut dirs = Vec::new();
-        let mut dir_index = BTreeMap::new();
+        let mut dir_index = NodeTable::default();
         for b in 0..n_banks {
             let (node, mc) = match cfg.topology {
                 Topology::Mesh => {
@@ -334,7 +385,7 @@ impl Chip {
 
         // Backends.
         let mut backends = Vec::new();
-        let mut backend_index = BTreeMap::new();
+        let mut backend_index = NodeTable::default();
         if cfg.placement.backend_per_tile() {
             for i in 0..n {
                 let node = tile_node(i);
@@ -377,8 +428,8 @@ impl Chip {
 
         // Frontends.
         let mut frontends = Vec::new();
-        let mut fe_index = BTreeMap::new();
-        let mut fe_of_complex = BTreeMap::new();
+        let mut fe_index = NodeTable::default();
+        let mut fe_of_complex = vec![NodeTable::ABSENT; complexes.len()];
         match cfg.placement {
             NiPlacement::Numa => {}
             NiPlacement::Edge => {
@@ -388,7 +439,7 @@ impl Chip {
                         .filter(|&i| edge_of_tile(i as usize) == r as u8)
                         .collect();
                     fe_index.insert(node, frontends.len());
-                    fe_of_complex.insert(complex_index[&node], frontends.len());
+                    fe_of_complex[complex_index[node]] = frontends.len();
                     frontends.push(NiFrontend::new(node, node, row_qps, cfg.rmc));
                 }
             }
@@ -401,7 +452,7 @@ impl Chip {
                         NocNode::NiBlock(edge_of_tile(i))
                     };
                     fe_index.insert(node, frontends.len());
-                    fe_of_complex.insert(i, frontends.len());
+                    fe_of_complex[complex_index[node]] = frontends.len();
                     frontends.push(NiFrontend::new(node, backend, vec![i as u32], cfg.rmc));
                 }
             }
@@ -503,7 +554,7 @@ impl Chip {
         // don't schedule work, but staleness here must never be possible.)
         self.activity = self.activity.wrapping_add(1);
         let home = self.home_of(b);
-        if let Some(&d) = self.dir_index.get(&home) {
+        if let Some(d) = self.dir_index.get(home) {
             if self.dirs[d].poke_llc(b, value) {
                 return;
             }
@@ -517,7 +568,7 @@ impl Chip {
     /// resident (NUCA writes land there first), else the backing store.
     pub fn peek_block(&self, b: BlockAddr) -> u64 {
         let home = self.home_of(b);
-        if let Some(&d) = self.dir_index.get(&home) {
+        if let Some(d) = self.dir_index.get(home) {
             if let Some(v) = self.dirs[d].peek_llc(b) {
                 return v;
             }
@@ -704,7 +755,7 @@ impl Chip {
         // through `cores`/`chip_mut` can never be masked by a stale cache;
         // the pipeline scan is memoized on the activity stamp, which every
         // external entry point bumps.
-        if self.fabric.is_idle()
+        if self.fabric_quiet(now)
             && self.cores.iter().all(Core::is_quiescent)
             && self.pipelines_quiescent_cached()
         {
@@ -734,12 +785,12 @@ impl Chip {
     /// the two modes stay bit-identical in all observables.
     fn tick_event(&mut self, now: Cycle) {
         // Dormant fast path: all pipeline work is scheduled past `now`, the
-        // fabric endpoint is silent, and every core is inert this cycle
+        // fabric endpoint has nothing for the chip, and every core is inert this cycle
         // (declared-idle window, passively awaiting a completion, or done).
         // The core horizon is memoized on the activity stamp, which every
         // full tick and external entry point bumps — same staleness
         // guarantee as the poll fast path's pipeline memo above.
-        if now < self.dormant_until && now < self.cores_horizon(now) && self.fabric.is_idle() {
+        if now < self.dormant_until && now < self.cores_horizon(now) && self.fabric_quiet(now) {
             self.now += 1;
             return;
         }
@@ -760,6 +811,14 @@ impl Chip {
         self.now += 1;
         self.activity = self.activity.wrapping_add(1);
         self.dormant_until = self.compute_dormant_until();
+    }
+
+    /// True when the fabric endpoint has nothing for this chip at `now`: it
+    /// is idle, or its next event lies past `now`. A rack port's buffered
+    /// outbox does not count — the chip never reads it back, and the
+    /// per-cycle schedule would already have flushed it.
+    fn fabric_quiet(&self, now: Cycle) -> bool {
+        self.fabric.next_event(now).is_none_or(|t| t > now) || self.fabric.is_idle()
     }
 
     /// Number of *full* (non-skipped) ticks this chip has executed — the
@@ -889,20 +948,21 @@ impl Chip {
             && self.mcs.iter().all(|m| m.inflight() == 0)
     }
 
-    /// Run for `cycles`. Under [`TickMode::Event`] with a fabric that
-    /// reports no upcoming self-driven events ([`Fabric::next_event`]
-    /// `None`), idle-until-X stretches are jumped in one step instead of
-    /// being skipped cycle by cycle.
+    /// Run for `cycles`, exactly as `cycles` calls of [`Chip::tick`].
+    /// Under [`TickMode::Event`], idle-until-X stretches are jumped in one
+    /// step instead of being skipped cycle by cycle, up to the fabric's
+    /// next event ([`Fabric::next_event`]) — for a rack port, the next
+    /// arrival the driver handed out for the open quantum.
     pub fn run(&mut self, cycles: u64) {
         let end = Cycle(self.now.0.saturating_add(cycles));
         while self.now < end {
-            if self.cfg.tick_mode == TickMode::Event
-                && self.now < self.dormant_until
-                && self.fabric.next_event(self.now).is_none()
-            {
-                if let Some(to) = self.jump_target(end) {
-                    self.now = to;
-                    continue;
+            if self.cfg.tick_mode == TickMode::Event && self.now < self.dormant_until {
+                let horizon = self.fabric.next_event(self.now).map_or(end, |t| t.min(end));
+                if horizon > self.now {
+                    if let Some(to) = self.jump_target(horizon) {
+                        self.now = to;
+                        continue;
+                    }
                 }
             }
             self.tick();
@@ -1093,7 +1153,7 @@ impl Chip {
                 continue;
             }
             let fe_node = self.frontends[f].node();
-            let cx = self.complex_index[&fe_node];
+            let cx = self.complex_index[fe_node];
             self.frontends[f].tick(now, &mut self.qps, &mut self.complexes[cx]);
             while let Some(e) = self.frontends[f].pop_egress() {
                 self.dispatch_rmc(now, fe_node, e);
@@ -1189,7 +1249,7 @@ impl Chip {
                         );
                     }
                     ni_coherence::AccessOrigin::Ni => {
-                        let f = self.fe_of_complex[&c];
+                        let f = self.fe_of_complex[c];
                         self.frontends[f].on_cache_completion(
                             done.at,
                             done.tag,
@@ -1298,12 +1358,12 @@ impl Chip {
                     .expect("uncapped memory controller");
             }
             (_, ClientKind::Directory) => {
-                let d = self.dir_index[&dst];
+                let d = self.dir_index[dst];
                 self.dirs[d].deliver(now, src, msg);
                 self.wake_dirs[d] = self.wake_dirs[d].min(now);
             }
             (_, ClientKind::Cache) => {
-                let c = self.complex_index[&dst];
+                let c = self.complex_index[dst];
                 self.complexes[c].deliver(now, msg);
                 self.wake_cxs[c] = self.wake_cxs[c].min(now);
             }
@@ -1325,7 +1385,7 @@ impl Chip {
                         self.rrpps[r].on_nc_wack(now, block);
                     }
                     self.wake_rrpps[r] = self.wake_rrpps[r].min(now);
-                } else if let Some(&b) = self.backend_index.get(&dst) {
+                } else if let Some(b) = self.backend_index.get(dst) {
                     if is_data {
                         self.backends[b].on_nc_data(now, block, value);
                     } else {
@@ -1340,7 +1400,7 @@ impl Chip {
     fn deliver_ni(&mut self, now: Cycle, dst: NocNode, msg: NiMsg) {
         match msg {
             NiMsg::WqFwd { entry, qp, fe } => {
-                let b = self.backend_index[&dst];
+                let b = self.backend_index[dst];
                 self.backends[b].on_wq_entry(now, entry, qp, fe);
                 self.wake_bes[b] = self.wake_bes[b].min(now);
             }
@@ -1350,7 +1410,7 @@ impl Chip {
                 ok,
                 degraded,
             } => {
-                let f = self.fe_index[&dst];
+                let f = self.fe_index[dst];
                 self.frontends[f].on_notify(qp, wq_id, ok, degraded);
                 self.wake_fes[f] = self.wake_fes[f].min(now);
             }
@@ -1363,7 +1423,7 @@ impl Chip {
                     let tile = (resp.tid & 0xffff_ffff) as usize;
                     self.cores[tile].on_numa_response(now);
                 } else {
-                    let b = self.backend_index[&dst];
+                    let b = self.backend_index[dst];
                     self.backends[b].on_response(now, resp);
                     self.wake_bes[b] = self.wake_bes[b].min(now);
                 }

@@ -12,22 +12,44 @@
 //! # Two-phase lock step
 //!
 //! Chips never touch the shared fabric directly. Each owns a buffered
-//! [`FabricPort`] (outbox/inbox pair), and every rack cycle runs two phases:
+//! [`FabricPort`] (stamped outbox/inbox pair), and the rack alternates two
+//! phases:
 //!
-//! 1. **Compute** — all chips tick independently against their ports.
-//!    [`Rack::run`] farms this across worker threads (chunked, one barrier
-//!    pair per cycle); [`Rack::tick`] is the inline single-cycle form.
+//! 1. **Compute** — all chips advance independently against their ports.
 //! 2. **Exchange** — the driver merges every outbox into the [`TorusFabric`]
-//!    in node-id order, advances the fabric exactly once at the start of
-//!    the next cycle, and distributes arrivals back into per-chip inboxes.
+//!    in node-id order and advances the fabric, handing arrivals back to
+//!    the ports.
 //!
+//! [`Rack::tick`] is the per-cycle reference schedule: advance the fabric
+//! once and collect its arrivals, tick every chip, merge every outbox.
+//!
+//! [`Rack::run`] executes the same schedule in **lookahead quanta** of
+//! [`TorusFabric::lookahead`] cycles (`hop_cycles + 1`, 71 by default) —
+//! conservative parallel discrete-event simulation. No packet crosses a
+//! torus link in under that many cycles, so every delivery a quantum
+//! `[T, T+L)` will see is already on its final wire at `T`:
+//!
+//! 1. **Open** — the fabric hands each port the deliveries due to its node
+//!    in the quantum, stamped with their arrival cycles
+//!    ([`TorusFabric::open_quantum`]).
+//! 2. **Compute** — each chip runs the whole quantum ([`Chip::run`]) while
+//!    its state is still in cache, seeing each arrival once its clock
+//!    reaches the stamp; a dormant chip jumps to its next event in one step.
+//!    Self-addressed packets, the one thing faster than the lookahead, loop
+//!    back inside the port (see [`FabricPort`]).
+//! 3. **Replay** — the driver advances the fabric cycle by cycle through the
+//!    quantum, merging each cycle's stamped outbox events in node-id order
+//!    right after that cycle's fabric tick — the per-cycle exchange order —
+//!    and checks the fabric's deliveries against what it handed out.
+//!
+//! Worker threads pay one barrier pair per quantum instead of per cycle.
 //! Chips share no state during compute and the exchange order is fixed, so
-//! a run is **bit-identical at any thread count** — the serial path, one
-//! worker, and N workers produce the same [`FabricStats`](ni_fabric::FabricStats), completed-op
-//! counts, and latency distributions for the same seed. Quiesced chips
-//! (permanently idle cores, drained pipelines, idle port) are skipped by
-//! [`Chip::tick`]'s fast path, so huge racks with sparse activity stay
-//! cheap.
+//! a run is **bit-identical to per-cycle [`Rack::tick`] at any thread
+//! count** — the serial path, one worker, and N workers produce the same
+//! [`FabricStats`](ni_fabric::FabricStats), completed-op counts, and latency
+//! distributions for the same seed. Quiesced chips (permanently idle cores,
+//! drained pipelines, nothing arriving) are skipped by [`Chip::tick`]'s fast
+//! path, so huge racks with sparse activity stay cheap.
 //!
 //! Worker count: [`RackSimConfig::threads`] (0 = the `RACKNI_THREADS`
 //! environment variable, else [`std::thread::available_parallelism`]).
@@ -176,6 +198,9 @@ pub struct Rack {
     ports: Vec<FabricPort>,
     scenario_name: String,
     now: Cycle,
+    /// Compute phases run so far: one per [`Rack::tick`], one per quantum
+    /// of [`Rack::run`].
+    sync_rounds: u64,
 }
 
 impl Rack {
@@ -203,7 +228,7 @@ impl Rack {
         });
         let nodes = cfg.torus.nodes();
         assert!(nodes <= u32::from(u16::MAX), "node ids are u16 on the wire");
-        let ports: Vec<FabricPort> = (0..nodes).map(|n| FabricPort::new(n as u16)).collect();
+        let ports: Vec<FabricPort> = (0..nodes).map(|n| fabric.port(n as u16)).collect();
         let port_refs: Vec<FabricPort> = ports.clone();
         // Only the `Copy` pieces of the config cross into the construction
         // closure (the config itself holds the non-`Copy` fault plan).
@@ -238,6 +263,7 @@ impl Rack {
             ports,
             scenario_name: scenario.name().to_string(),
             now: Cycle::ZERO,
+            sync_rounds: 0,
         }
     }
 
@@ -268,6 +294,18 @@ impl Rack {
     /// Current simulation time.
     pub fn now(&self) -> Cycle {
         self.now
+    }
+
+    /// Length in cycles of [`Rack::run`]'s quanta: the fabric's
+    /// [`lookahead`](TorusFabric::lookahead), `hop_cycles + 1`.
+    pub fn lookahead(&self) -> u64 {
+        self.fabric.lookahead()
+    }
+
+    /// Compute phases (rack-wide synchronization rounds) run so far: one
+    /// per [`Rack::tick`] and one per quantum of [`Rack::run`].
+    pub fn sync_rounds(&self) -> u64 {
+        self.sync_rounds
     }
 
     /// The simulated chips, in node-id order.
@@ -322,11 +360,10 @@ impl Rack {
         }
     }
 
-    /// Advance the whole rack by one cycle — the inline (serial) form of
-    /// the two-phase loop: advance the fabric exactly once and distribute
-    /// arrivals, tick every chip against its port, merge outboxes in
-    /// node-id order. [`Rack::run`] executes the identical schedule with
-    /// the chip ticks farmed across worker threads.
+    /// Advance the whole rack by one cycle — the per-cycle reference
+    /// schedule: advance the fabric exactly once and distribute arrivals,
+    /// tick every chip against its port, merge outboxes in node-id order.
+    /// [`Rack::run`] executes the identical schedule in lookahead quanta.
     pub fn tick(&mut self) {
         let now = self.now;
         Self::fabric_advance_and_distribute(&mut self.fabric, &self.ports, now);
@@ -335,26 +372,68 @@ impl Rack {
         }
         Self::fabric_merge_outboxes(&mut self.fabric, &self.ports, now);
         self.now += 1;
+        self.sync_rounds += 1;
     }
 
-    /// Run for `cycles`, ticking chips in parallel across the configured
-    /// worker threads (see [`RackSimConfig::threads`]).
+    /// The quanta `[start, end)` a run of `cycles` from `now` splits into:
+    /// [`TorusFabric::lookahead`]-long, the last one cut short.
+    fn quanta(now: Cycle, cycles: u64, lookahead: u64) -> impl Iterator<Item = (Cycle, Cycle)> {
+        let end = now + cycles;
+        (now.0..end.0)
+            .step_by(lookahead as usize)
+            .map(move |t| (Cycle(t), Cycle(t.saturating_add(lookahead)).min(end)))
+    }
+
+    /// Replay phase of the quantum `[start, end)`: advance the fabric one
+    /// cycle at a time — each cycle's deliveries were handed out when the
+    /// quantum opened, so they are checked off rather than collected — and
+    /// merge the outbox events stamped with that cycle right after its
+    /// tick, exactly where [`Rack::tick`] merges them.
+    fn replay_quantum(fabric: &mut TorusFabric, ports: &[FabricPort], start: Cycle, end: Cycle) {
+        for c in start.0..end.0 {
+            let now = Cycle(c);
+            fabric.tick(now);
+            if fabric.has_deliveries() {
+                for port in ports {
+                    port.consume_arrivals(now, fabric);
+                }
+            }
+            Self::fabric_merge_outboxes(fabric, ports, now);
+        }
+        for port in ports {
+            port.close_quantum();
+        }
+    }
+
+    /// Run for `cycles` in lookahead quanta (see the module docs),
+    /// computing chips in parallel across the configured worker threads
+    /// (see [`RackSimConfig::threads`]). Results are bit-identical to
+    /// calling [`Rack::tick`] `cycles` times, for any `cycles` and any
+    /// interleaving with `tick`.
     ///
     /// The thread pool lives for the whole call: workers are spawned once,
     /// own static chip chunks, and synchronize on one barrier pair per
-    /// cycle while the driver thread performs the exchange phase. Results
-    /// are bit-identical to calling [`Rack::tick`] `cycles` times.
+    /// quantum while the driver thread opens and replays quanta. The serial
+    /// path runs the same chip-major loop inline.
     ///
     /// # Panics
-    /// Propagates the first panic raised inside any chip's tick.
+    /// Propagates the first panic raised inside any chip's compute phase or
+    /// the driver's exchange phase.
     pub fn run(&mut self, cycles: u64) {
         let workers = self.worker_count();
         if cycles == 0 {
             return;
         }
+        let lookahead = self.fabric.lookahead();
         if workers <= 1 {
-            for _ in 0..cycles {
-                self.tick();
+            for (start, end) in Self::quanta(self.now, cycles, lookahead) {
+                self.fabric.open_quantum(end, &self.ports);
+                for chip in &mut self.chips {
+                    chip.run(end - start);
+                }
+                Self::replay_quantum(&mut self.fabric, &self.ports, start, end);
+                self.now = end;
+                self.sync_rounds += 1;
             }
             return;
         }
@@ -365,6 +444,7 @@ impl Rack {
             fabric,
             ports,
             now,
+            sync_rounds,
             ..
         } = self;
         let chunk_len = chips.len().div_ceil(workers);
@@ -372,24 +452,25 @@ impl Rack {
         // chips over 4 workers yield 3 chunks of <=2): the barrier must be
         // sized to the threads that actually exist or everyone deadlocks.
         let chunks: Vec<&mut [Chip]> = chips.chunks_mut(chunk_len).collect();
-        // Two rendezvous per cycle: one releasing the compute phase, one
+        // Two rendezvous per quantum: one releasing the compute phase, one
         // closing it. A panicking participant — worker *or* driver — keeps
-        // honoring the barrier protocol for the remaining cycles (skipping
+        // honoring the barrier protocol for the remaining quanta (skipping
         // its work) so no thread is ever left waiting, and re-raises its
         // payload once every barrier pair has been served.
         let barrier = Barrier::new(chunks.len() + 1);
         let poisoned = AtomicBool::new(false);
         let mut driver_payload = None;
+        let start = *now;
         std::thread::scope(|s| {
             for chunk in chunks {
                 s.spawn(|| {
                     let mut payload = None;
-                    for _ in 0..cycles {
+                    for (q_start, q_end) in Self::quanta(start, cycles, lookahead) {
                         barrier.wait();
                         if payload.is_none() && !poisoned.load(Ordering::Acquire) {
                             let r = catch_unwind(AssertUnwindSafe(|| {
                                 for chip in chunk.iter_mut() {
-                                    chip.tick();
+                                    chip.run(q_end - q_start);
                                 }
                             }));
                             if let Err(p) = r {
@@ -418,15 +499,16 @@ impl Rack {
                     }
                 }
             };
-            for _ in 0..cycles {
+            for (q_start, q_end) in Self::quanta(start, cycles, lookahead) {
                 trap(&mut driver_payload, &mut || {
-                    Self::fabric_advance_and_distribute(fabric, ports, *now);
+                    fabric.open_quantum(q_end, ports);
                 });
                 barrier.wait(); // open the compute phase
                 barrier.wait(); // close the compute phase
                 trap(&mut driver_payload, &mut || {
-                    Self::fabric_merge_outboxes(fabric, ports, *now);
-                    *now += 1;
+                    Self::replay_quantum(fabric, ports, q_start, q_end);
+                    *now = q_end;
+                    *sync_rounds += 1;
                 });
             }
         });
@@ -622,7 +704,7 @@ mod tests {
 
     /// Regression: when ceil-divided chip chunks come out fewer than the
     /// requested workers (5 chips over 4 threads yield 3 chunks), the
-    /// per-cycle barrier must be sized to the real thread count — this
+    /// barrier must be sized to the real thread count — this
     /// config used to deadlock. Also asserts the uneven split stays
     /// bit-identical to the serial path.
     #[test]

@@ -1,17 +1,20 @@
 //! Parallel-rack scaling benchmark: the paper's rack sizes (2x2x2 up to the
 //! 512-node 8x8x8 torus of §1, plus a 4096-node 16x16x16 stretch point)
-//! driven through the two-phase parallel `Rack::run` loop, with simulator
-//! throughput (simulated cycles per wall-clock second) measured serially
-//! and in parallel at every size.
+//! driven through the lookahead-quantum parallel `Rack::run` loop, with
+//! simulator throughput (simulated cycles per wall-clock second) measured
+//! serially and in parallel at every size.
 //!
 //! Three jobs in one binary:
 //!
 //! 1. **Throughput trajectory** — writes `BENCH_rack.json` (schema
-//!    `rackni-bench-rack/2`) so CI can archive cycles/sec per rack size and
+//!    `rackni-bench-rack/3`) so CI can archive cycles/sec per rack size and
 //!    scenario, and future PRs can track simulator-performance regressions.
+//!    Each point also records its sync rounds (the quanta `Rack::run`
+//!    synchronized on, see `Rack::sync_rounds`).
 //! 2. **Speedup check** — on multi-core hosts the same seeded run is timed
 //!    once pinned to one worker and once across all workers; the ratio is
-//!    the parallel-tick speedup (reported per size).
+//!    the parallel-tick speedup, and speedup / threads (serial wall over
+//!    threads × parallel wall) the parallel efficiency, both per size.
 //! 3. **Determinism guard** — the serial and parallel runs of each point
 //!    must produce identical fabric counters, completed ops, and hop
 //!    counts; any divergence aborts the benchmark.
@@ -77,6 +80,7 @@ struct RunResult {
     build_ms: f64,
     wall_ms: f64,
     cps: f64,
+    sync_rounds: u64,
     fp: Fingerprint,
 }
 
@@ -101,6 +105,7 @@ fn run_point(shape: Shape, dims: (u16, u16, u16), cycles: u64, threads: usize) -
         build_ms,
         wall_ms: wall * 1e3,
         cps: cycles as f64 / wall.max(1e-9),
+        sync_rounds: rack.sync_rounds(),
         fp: Fingerprint {
             sent: fs.sent.get(),
             incoming: fs.incoming_generated.get(),
@@ -146,7 +151,7 @@ fn main() {
         ],
     };
     println!(
-        "rackni rack_bench: two-phase parallel rack ticking, scale {scale:?}, \
+        "rackni rack_bench: lookahead-quantum parallel rack runs, scale {scale:?}, \
          host threads {host_threads}\n"
     );
 
@@ -160,12 +165,14 @@ fn main() {
         "parallel cyc/s",
         "threads",
         "speedup",
+        "efficiency",
+        "rounds",
         "ops",
         "hops",
     ]);
     let mut record = BenchRecord::new(
         "rack",
-        2,
+        3,
         Fields::new()
             .str("scale", scale.name())
             .int("host_threads", host_threads),
@@ -194,6 +201,7 @@ fn main() {
             .as_ref()
             .map_or((serial.cps, serial.wall_ms), |p| (p.cps, p.wall_ms));
         let speedup = pcps / serial.cps;
+        let efficiency = speedup / eff_threads as f64;
         table.row_owned(vec![
             shape.name().to_string(),
             format!("{}x{}x{}", dims.0, dims.1, dims.2),
@@ -204,6 +212,8 @@ fn main() {
             f1(pcps),
             eff_threads.to_string(),
             format!("{speedup:.2}x"),
+            format!("{efficiency:.2}"),
+            serial.sync_rounds.to_string(),
             serial.fp.completed_ops.to_string(),
             serial.fp.hops.to_string(),
         ]);
@@ -217,6 +227,8 @@ fn main() {
                 .float("parallel_cps", pcps, 1)
                 .int("threads", eff_threads)
                 .float("speedup", speedup, 4)
+                .float("parallel_efficiency", efficiency, 4)
+                .int("sync_rounds", serial.sync_rounds)
                 .float("wall_ms_serial", serial.wall_ms, 1)
                 .float("wall_ms_parallel", pwall, 1)
                 .float("build_ms", serial.build_ms, 1)

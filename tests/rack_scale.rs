@@ -4,7 +4,10 @@
 
 use rackni::ni_fabric::Torus3D;
 use rackni::ni_mem::Addr;
-use rackni::ni_soc::{Chip, ChipConfig, Rack, RackSimConfig, TrafficPattern, Workload};
+use rackni::ni_qp::RemoteOp;
+use rackni::ni_soc::{
+    Chip, ChipConfig, Op, OpCtx, Rack, RackSimConfig, Scenario, TrafficPattern, Workload,
+};
 
 const REMOTE_BASE: u64 = 1 << 40;
 
@@ -572,4 +575,146 @@ fn degenerate_single_node_rack_services_itself() {
     );
     run_until(&mut rack, 100_000, |r| r.chips()[0].completed_ops() >= 2);
     assert_eq!(rack.hops_traversed(), 0, "self traffic crosses no links");
+}
+
+// ---- Lookahead quanta ------------------------------------------------------
+
+/// A scenario whose cores alternate between their own node and the next
+/// one: every other op is self-addressed, the one kind of traffic faster
+/// than the fabric's lookahead (the port loops it back inside a quantum).
+#[derive(Clone, Debug)]
+struct SelfAndNext;
+
+impl Scenario for SelfAndNext {
+    fn name(&self) -> &str {
+        "self-and-next"
+    }
+    fn for_core(&self, _ctx: &OpCtx) -> Box<dyn Scenario> {
+        Box::new(self.clone())
+    }
+    fn next_op(&mut self, ctx: &OpCtx) -> Op {
+        let to = if ctx.issued.is_multiple_of(2) {
+            ctx.node
+        } else {
+            ((u32::from(ctx.node) + 1) % ctx.nodes) as u16
+        };
+        Op::Remote {
+            op: if ctx.issued.is_multiple_of(3) {
+                RemoteOp::Write
+            } else {
+                RemoteOp::Read
+            },
+            to,
+            addr: Addr(REMOTE_BASE + (ctx.issued % 32) * 64),
+            size: 128,
+            sync: false,
+        }
+    }
+}
+
+/// Quantum boundaries: [`Rack::run`]`(n)` is exactly `n` calls of
+/// [`Rack::tick`] for run lengths around the lookahead `L` — `1, L-1, L,
+/// L+1, 2L+3`, each starting wherever the previous one ended (so quanta
+/// fall at every offset), then an interleaved `tick, run(L+5), tick` — at
+/// one and three workers (uneven chunks), on the racks that stress the
+/// quantum: the two-sided serving mix, a fault storm under the ITT
+/// watchdog, and self-addressed traffic on a 1x1x1 rack and a 2x2x1 rack.
+/// A per-cycle reference rack advances in lock step and the shared
+/// fingerprint must match after every call.
+#[test]
+fn run_is_exactly_repeated_tick_across_quantum_boundaries() {
+    use rackni::ni_fabric::{FaultPlan, RoutingKind};
+    use rackni::ni_rmc::NiPlacement;
+    use rackni::ni_soc::{ClosedLoop, GraphShard, KvStore, TenantMix};
+
+    type Build = fn(usize) -> Rack;
+    let serving: Build = |threads| {
+        let mut cfg = rack_cfg(Torus3D::new(2, 2, 2), 4, TrafficPattern::Uniform);
+        cfg.chip.placement = NiPlacement::Split;
+        cfg.chip.seed = 0x5e7;
+        cfg.threads = threads;
+        let kv = ClosedLoop::new(Box::new(KvStore::default().with_service(120)), 2, 40);
+        let mix = TenantMix::new()
+            .with_tenant(1, Box::new(kv), 3)
+            .with_tenant(2, Box::new(GraphShard::default()), 1);
+        Rack::with_scenario(cfg, &mix)
+    };
+    let storm: Build = |threads| {
+        let torus = Torus3D::new(3, 3, 1);
+        let mut cfg = rack_cfg(torus, 2, TrafficPattern::Uniform);
+        cfg.chip.seed = 0x5707;
+        cfg.chip.rmc.itt_timeout = 600;
+        cfg.chip.rmc.itt_retries = 1;
+        cfg.routing = RoutingKind::FaultAdaptive;
+        // Kill/repair waves straddling the checked calls after warm-up.
+        cfg.faults = FaultPlan::fault_storm(torus, 9, 4, 2, 2_000, 120, 90);
+        cfg.threads = threads;
+        Rack::new(
+            cfg,
+            Workload::AsyncRead {
+                size: 256,
+                poll_every: 4,
+            },
+        )
+    };
+    let single: Build = |threads| {
+        let mut cfg = rack_cfg(Torus3D::new(1, 1, 1), 2, TrafficPattern::Neighbor);
+        cfg.threads = threads;
+        Rack::with_scenario(cfg, &SelfAndNext)
+    };
+    let self_addressed: Build = |threads| {
+        let mut cfg = rack_cfg(Torus3D::new(2, 2, 1), 2, TrafficPattern::Neighbor);
+        cfg.chip.seed = 0x5e1f;
+        cfg.threads = threads;
+        Rack::with_scenario(cfg, &SelfAndNext)
+    };
+
+    for (name, build) in [
+        ("serving", serving),
+        ("fault-storm", storm),
+        ("1x1x1", single),
+        ("self-addressed 2x2x1", self_addressed),
+    ] {
+        for threads in [1usize, 3] {
+            let mut reference = build(1);
+            let mut rack = build(threads);
+            let l = rack.lookahead();
+            assert_eq!(l, 71, "hop_cycles + 1");
+            // Warm up past the first completions so every later call starts
+            // with traffic on the wires.
+            let warm = 30 * l;
+            for _ in 0..warm {
+                reference.tick();
+            }
+            rack.run(warm);
+            let mut calls: Vec<(&str, u64)> = [1, l - 1, l, l + 1, 2 * l + 3]
+                .into_iter()
+                .map(|n| ("run", n))
+                .collect();
+            calls.extend([("tick", 1), ("run", l + 5), ("tick", 1)]);
+            for (call, n) in calls {
+                for _ in 0..n {
+                    reference.tick();
+                }
+                if call == "tick" {
+                    rack.tick();
+                } else {
+                    rack.run(n);
+                }
+                assert_eq!(rack.now(), reference.now());
+                assert_eq!(
+                    tick_fingerprint(&rack),
+                    tick_fingerprint(&reference),
+                    "{name} at {threads} threads: {call}({n}) ending at {:?} \
+                     diverged from per-cycle ticking",
+                    rack.now()
+                );
+            }
+            let fp = tick_fingerprint(&reference);
+            assert!(fp.completed_ops > 0, "{name}: the reference must do work");
+            if name == "fault-storm" {
+                assert!(fp.dropped > 0, "{name}: the storm must bite: {fp:?}");
+            }
+        }
+    }
 }
