@@ -67,7 +67,7 @@ fn measure_chip(name: &str, mut chip: Chip, cycles: u64) -> Measured {
         cycles,
         wall_ms: wall * 1e3,
         cps: cycles as f64 / wall.max(1e-9),
-        completed_ops: chip.completed_ops(),
+        completed_ops: chip.stats().completed,
     }
 }
 
@@ -80,7 +80,7 @@ fn measure_rack(name: &str, mut rack: Rack, cycles: u64) -> Measured {
         cycles,
         wall_ms: wall * 1e3,
         cps: cycles as f64 / wall.max(1e-9),
-        completed_ops: rack.completed_ops(),
+        completed_ops: rack.stats().completed,
     }
 }
 

@@ -13,9 +13,9 @@ use ni_noc::RoutingPolicy;
 use ni_rmc::NiPlacement;
 use ni_soc::bench::{run_bandwidth, run_sync_latency, stage_breakdown, StageBreakdown};
 use ni_soc::{
-    builtin_scenarios, Bursty, Capped, ChipConfig, ClosedLoop, GraphShard, KvStore, Rack,
-    RackSimConfig, Scenario, Synthetic, TenantMix, TickMode, Topology, TrafficPattern, Workload,
-    ZipfHotspot,
+    builtin_scenarios, Bursty, Capped, ChipConfig, ClosedLoop, GraphShard, KvStore, NodeStats,
+    Rack, RackSimConfig, Scenario, Synthetic, TenantMix, TickMode, Topology, TrafficPattern,
+    Workload, ZipfHotspot,
 };
 
 use crate::paper;
@@ -685,15 +685,15 @@ fn measure_rack_point(
     let wall_secs = started.secs();
     let freq = Frequency::GHZ2;
     let fs = rack.fabric_stats();
+    let stats = rack.stats();
     // Packets that finished their journey (in-flight ones still hold
     // un-attributed hops; negligible over a full run).
     let packets = fs.incoming_generated.get() + fs.responded.get();
     RackScalePoint {
         dims,
         nodes: torus.nodes(),
-        completed_ops: rack.completed_ops(),
-        agg_ni_gbps: freq
-            .gbps_from_bytes_per_cycle(rack.app_payload_bytes() as f64 / cycles as f64),
+        completed_ops: stats.completed,
+        agg_ni_gbps: freq.gbps_from_bytes_per_cycle(stats.app_payload_bytes as f64 / cycles as f64),
         peak_link_gbps: rack.peak_link_gbps(),
         hops: rack.hops_traversed(),
         mean_hops: if packets == 0 {
@@ -809,16 +809,11 @@ pub struct ScenarioPoint {
     pub cycles: u64,
 }
 
-/// Busiest-link bytes over the mean bytes of all loaded links (delegates to
-/// the fabric's allocation-free accumulator scan).
-pub fn link_byte_skew(rack: &Rack) -> f64 {
-    rack.link_byte_skew()
-}
-
 fn rrpp_latency_skew(rack: &Rack) -> f64 {
     let lats: Vec<f64> = rack
-        .rrpp_mean_latencies()
-        .into_iter()
+        .chips()
+        .iter()
+        .map(|c| c.rrpp_mean_latency())
         .filter(|&l| l > 0.0)
         .collect();
     if lats.is_empty() {
@@ -845,13 +840,14 @@ pub fn run_scenario_point(scenario: &dyn Scenario, cycles: u64) -> ScenarioPoint
     };
     let mut rack = Rack::with_scenario(cfg, scenario);
     rack.run(cycles);
+    let stats = rack.stats();
     ScenarioPoint {
         name: rack.scenario_name().to_string(),
-        completed_ops: rack.completed_ops(),
+        completed_ops: stats.completed,
         agg_ni_gbps: Frequency::GHZ2
-            .gbps_from_bytes_per_cycle(rack.app_payload_bytes() as f64 / cycles.max(1) as f64),
+            .gbps_from_bytes_per_cycle(stats.app_payload_bytes as f64 / cycles.max(1) as f64),
         peak_link_gbps: rack.peak_link_gbps(),
-        link_skew: link_byte_skew(&rack),
+        link_skew: rack.link_byte_skew(),
         rrpp_skew: rrpp_latency_skew(&rack),
         hops: rack.hops_traversed(),
         cycles,
@@ -967,40 +963,79 @@ pub fn run_routing_point(
     ops_per_core: u64,
     horizon: u64,
 ) -> RoutingPoint {
-    let active_cores = 2;
     let cfg = RackSimConfig {
         torus: Torus3D::new(dims.0, dims.1, dims.2),
-        chip: ChipConfig {
-            active_cores,
-            ..ChipConfig::default()
-        },
         routing,
-        // Grid points already saturate the host via `par_map`; nesting the
-        // rack's worker pool inside would oversubscribe it.
-        threads: 1,
         ..RackSimConfig::default()
     };
-    let expected_ops = u64::from(cfg.torus.nodes()) * active_cores as u64 * ops_per_core;
-    let capped = Capped::new(scenario, ops_per_core);
-    let mut rack = Rack::with_scenario(cfg, &capped);
-    // Step in 200-cycle slices so the completion cycle is tight without
-    // checking every cycle.
-    const SLICE: u64 = 200;
-    while rack.completed_ops() < expected_ops && rack.now().0 < horizon {
-        rack.run(SLICE.min(horizon - rack.now().0));
-    }
-    let hist = rack.read_latency_histogram();
+    let CappedJob {
+        rack,
+        stats,
+        expected_ops,
+    } = run_capped_job(cfg, scenario, ops_per_core, horizon, |_, _| {});
+    let hist = &stats.read_latency;
     RoutingPoint {
         scenario: scenario_label,
         routing,
         dims,
         expected_ops,
-        completed_ops: rack.completed_ops(),
+        completed_ops: stats.completed,
         completion_cycles: rack.now().0,
         p50_read_cycles: hist.percentile(0.50),
         p99_read_cycles: hist.percentile(0.99),
         link_skew: rack.link_byte_skew(),
         hops: rack.hops_traversed(),
+    }
+}
+
+/// Active cores per node in a capped job.
+const CAPPED_ACTIVE_CORES: usize = 2;
+
+/// A capped job run to completion (or its horizon), with its final
+/// rack-wide [`NodeStats`].
+struct CappedJob {
+    rack: Rack,
+    stats: NodeStats,
+    /// Operations the job issues in total.
+    expected_ops: u64,
+}
+
+/// Run `scenario` capped at `ops_per_core` ops on each of
+/// [`CAPPED_ACTIVE_CORES`] cores per node of a rack built from `cfg`
+/// (torus, routing, faults and RMC knobs), until every op completed or the
+/// rack reached `horizon`. The run steps in 200-cycle slices, so the
+/// completion cycle is tight without checking every cycle; `on_slice`
+/// sees the rack and its stats after each one. Grid cells already
+/// saturate the host via `par_map`, so the rack runs serially: nesting its
+/// worker pool inside would oversubscribe the host.
+fn run_capped_job(
+    cfg: RackSimConfig,
+    scenario: Box<dyn Scenario>,
+    ops_per_core: u64,
+    horizon: u64,
+    mut on_slice: impl FnMut(&Rack, &NodeStats),
+) -> CappedJob {
+    const SLICE: u64 = 200;
+    let cfg = RackSimConfig {
+        chip: ChipConfig {
+            active_cores: CAPPED_ACTIVE_CORES,
+            ..cfg.chip
+        },
+        threads: 1,
+        ..cfg
+    };
+    let expected_ops = u64::from(cfg.torus.nodes()) * CAPPED_ACTIVE_CORES as u64 * ops_per_core;
+    let mut rack = Rack::with_scenario(cfg, &Capped::new(scenario, ops_per_core));
+    let mut stats = rack.stats();
+    while stats.completed < expected_ops && rack.now().0 < horizon {
+        rack.run(SLICE.min(horizon - rack.now().0));
+        stats = rack.stats();
+        on_slice(&rack, &stats);
+    }
+    CappedJob {
+        rack,
+        stats,
+        expected_ops,
     }
 }
 
@@ -1242,12 +1277,8 @@ pub fn run_failure_point(
     fault: FaultCase,
     params: FailureParams,
 ) -> FailurePoint {
-    let active_cores = 2;
     let torus = Torus3D::new(dims.0, dims.1, dims.2);
-    let mut chip = ChipConfig {
-        active_cores,
-        ..ChipConfig::default()
-    };
+    let mut chip = ChipConfig::default();
     // The ITT watchdog is the recovery story for erased traffic; without
     // it a node kill would wedge every op targeting the corpse.
     chip.rmc.itt_timeout = params.itt_timeout;
@@ -1257,20 +1288,21 @@ pub fn run_failure_point(
         chip,
         routing,
         faults: fault.plan(torus, params.kill_at),
-        // Grid cells already saturate the host via `par_map`; nesting the
-        // rack's worker pool inside would oversubscribe it.
-        threads: 1,
         ..RackSimConfig::default()
     };
-    let expected_ops = u64::from(torus.nodes()) * active_cores as u64 * params.ops_per_core;
-    let capped = Capped::new(scenario, params.ops_per_core);
-    let mut rack = Rack::with_scenario(cfg, &capped);
-    const SLICE: u64 = 200;
-    while rack.completed_ops() < expected_ops && rack.now().0 < params.horizon {
-        rack.run(SLICE.min(params.horizon - rack.now().0));
-    }
-    let hist = rack.read_latency_histogram();
-    let be = rack.backend_stats();
+    let CappedJob {
+        rack,
+        stats,
+        expected_ops,
+    } = run_capped_job(
+        cfg,
+        scenario,
+        params.ops_per_core,
+        params.horizon,
+        |_, _| {},
+    );
+    let hist = &stats.read_latency;
+    let be = &stats.backend;
     let fs = rack.fault_stats();
     FailurePoint {
         scenario: scenario_label,
@@ -1279,10 +1311,10 @@ pub fn run_failure_point(
         dims,
         kill_at: params.kill_at,
         expected_ops,
-        completed_ops: rack.completed_ops(),
-        failed_ops: rack.failed_ops(),
+        completed_ops: stats.completed,
+        failed_ops: stats.failed,
         completion_cycles: rack.now().0,
-        completed_all: rack.completed_ops() >= expected_ops,
+        completed_all: stats.completed >= expected_ops,
         p50_read_cycles: hist.percentile(0.50),
         p99_read_cycles: hist.percentile(0.99),
         link_skew: rack.link_byte_skew(),
@@ -1523,12 +1555,8 @@ pub fn run_availability_point(
     w: u8,
     params: FailureParams,
 ) -> AvailabilityPoint {
-    let active_cores = 2;
     let torus = Torus3D::new(dims.0, dims.1, dims.2);
-    let mut chip = ChipConfig {
-        active_cores,
-        ..ChipConfig::default()
-    };
+    let mut chip = ChipConfig::default();
     chip.rmc.itt_timeout = params.itt_timeout;
     chip.rmc.itt_retries = params.itt_retries;
     chip.rmc.replication = ReplicaCfg {
@@ -1544,37 +1572,40 @@ pub fn run_availability_point(
         chip,
         routing: RoutingKind::FaultAdaptive,
         faults: plan,
-        // Grid cells already saturate the host via `par_map`.
-        threads: 1,
         ..RackSimConfig::default()
     };
-    let expected_ops = u64::from(torus.nodes()) * active_cores as u64 * params.ops_per_core;
-    let capped = Capped::new(scenario, params.ops_per_core);
-    let mut rack = Rack::with_scenario(cfg, &capped);
-    const SLICE: u64 = 200;
     // Track when the rack last *looked* degraded: the last slice boundary
     // at which a failed or degraded completion landed.
     let mut last_degraded_activity = 0u64;
     let mut seen = (0u64, 0u64);
-    while rack.completed_ops() < expected_ops && rack.now().0 < params.horizon {
-        rack.run(SLICE.min(params.horizon - rack.now().0));
-        let cur = (rack.failed_ops(), rack.degraded_ops());
-        if cur != seen {
-            seen = cur;
-            last_degraded_activity = rack.now().0;
-        }
-    }
+    let CappedJob {
+        rack,
+        stats,
+        expected_ops,
+    } = run_capped_job(
+        cfg,
+        scenario,
+        params.ops_per_core,
+        params.horizon,
+        |rack, stats| {
+            let cur = (stats.failed, stats.degraded);
+            if cur != seen {
+                seen = cur;
+                last_degraded_activity = rack.now().0;
+            }
+        },
+    );
     let (mut lost_reads, mut corpse_failed_reads) = (0u64, 0u64);
     for (node, c) in rack.chips().iter().enumerate() {
         if killed.contains(&(node as u32)) {
-            corpse_failed_reads += c.failed_reads();
+            corpse_failed_reads += c.stats().failed_reads;
         } else {
-            lost_reads += c.failed_reads();
+            lost_reads += c.stats().failed_reads;
         }
     }
-    let hist = rack.read_latency_histogram();
-    let dhist = rack.degraded_read_latency_histogram();
-    let be = rack.backend_stats();
+    let hist = &stats.read_latency;
+    let dhist = &stats.degraded_read_latency;
+    let be = &stats.backend;
     let completion_cycles = rack.now().0;
     AvailabilityPoint {
         scenario: scenario_label,
@@ -1584,21 +1615,21 @@ pub fn run_availability_point(
         dims,
         kill_at: params.kill_at,
         expected_ops,
-        completed_ops: rack.completed_ops(),
-        failed_ops: rack.failed_ops(),
+        completed_ops: stats.completed,
+        failed_ops: stats.failed,
         lost_reads,
         corpse_failed_reads,
-        degraded_ops: rack.degraded_ops(),
+        degraded_ops: stats.degraded,
         replays: be.replays.get(),
         quorum_writes: be.quorum_writes.get(),
         quorum_leg_failures: be.quorum_leg_failures.get(),
         completion_cycles,
-        completed_all: rack.completed_ops() >= expected_ops,
+        completed_all: stats.completed >= expected_ops,
         recovery_cycles: last_degraded_activity.saturating_sub(params.kill_at),
         ops_per_kcycle: if completion_cycles == 0 {
             0.0
         } else {
-            rack.completed_ops() as f64 * 1000.0 / completion_cycles as f64
+            stats.completed as f64 * 1000.0 / completion_cycles as f64
         },
         p50_read_cycles: hist.percentile(0.50),
         p99_read_cycles: hist.percentile(0.99),
@@ -1818,7 +1849,8 @@ pub fn run_serving_point(
         None => rack.run(cycles),
     }
     let tenants = rack
-        .tenant_stats()
+        .stats()
+        .tenants
         .iter()
         // Idle filler cores report tag 0 with nothing issued; drop them.
         .filter(|(_, a)| a.issued > 0)

@@ -58,8 +58,8 @@ pub mod prelude {
     pub use ni_rmc::NiPlacement;
     pub use ni_soc::{
         builtin_scenarios, run_bandwidth, run_chip_scenario, run_sync_latency, BandwidthResult,
-        Chip, ChipConfig, ClosedLoop, GraphShard, KvStore, LatencyResult, LinkReportFormat, Op,
-        OpCtx, Rack, RackSimConfig, Scenario, ScenarioRunResult, Synthetic, TenantMix, TenantSpec,
+        Chip, ChipConfig, ClosedLoop, GraphShard, KvStore, LatencyResult, NodeStats, Op, OpCtx,
+        Rack, RackSimConfig, Scenario, ScenarioRunResult, Synthetic, TenantMix, TenantSpec,
         Topology, TrafficPattern, Workload, Zipf, ZipfHotspot,
     };
 }

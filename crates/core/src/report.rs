@@ -224,11 +224,6 @@ impl Stopwatch {
     pub fn secs(&self) -> f64 {
         self.started.elapsed().as_secs_f64().max(1e-9)
     }
-
-    /// Milliseconds elapsed since [`Stopwatch::start`].
-    pub fn millis(&self) -> f64 {
-        self.secs() * 1e3
-    }
 }
 
 #[cfg(test)]

@@ -58,7 +58,7 @@ impl fmt::Display for Counter {
 /// assert_eq!(m.min(), Some(10));
 /// assert_eq!(m.max(), Some(20));
 /// ```
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RunningMean {
     count: u64,
     sum: u128,
@@ -132,13 +132,19 @@ impl RunningMean {
 /// h.record(700);
 /// assert_eq!(h.percentile(0.5), 700);
 /// ```
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Histogram {
     buckets: Vec<u64>,
     stats: RunningMean,
     /// Exact samples kept while small, for precise percentiles in tests.
     exact: Vec<u64>,
     exact_cap: usize,
+}
+
+impl Default for Histogram {
+    fn default() -> Self {
+        Histogram::new()
+    }
 }
 
 impl Histogram {
@@ -302,14 +308,6 @@ impl LinkLoad {
     /// Peak bandwidth over any window, in GB/s at `freq`.
     pub fn peak_gbps(&self, freq: Frequency) -> f64 {
         freq.gbps_from_bytes_per_cycle(self.peak_window_bytes() as f64 / self.window as f64)
-    }
-
-    /// Average bandwidth over `elapsed` cycles, in GB/s at `freq`.
-    pub fn avg_gbps(&self, freq: Frequency, elapsed: u64) -> f64 {
-        if elapsed == 0 {
-            return 0.0;
-        }
-        freq.gbps_from_bytes_per_cycle(self.total_bytes as f64 / elapsed as f64)
     }
 
     /// Fraction of `elapsed` cycles the link was busy.

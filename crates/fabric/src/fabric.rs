@@ -25,7 +25,7 @@ use ni_engine::{Counter, Cycle};
 use crate::rack::{RackEmulator, RemoteReq, RemoteResp};
 
 /// Backend-independent traffic counters.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FabricStats {
     /// Requests injected into the rack by local nodes.
     pub sent: Counter,

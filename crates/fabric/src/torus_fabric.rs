@@ -131,7 +131,7 @@ struct Link {
 }
 
 /// Fault-path counters of one [`TorusFabric`] (all zero on a healthy run).
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FaultStats {
     /// Packets dropped because their source, current, or destination node
     /// was dead — the traffic a [`FaultEvent::NodeDown`] erases.
@@ -319,22 +319,11 @@ impl TorusFabric {
         &self.cfg
     }
 
-    /// Short name of the routing policy in use (`"dor"`, `"adaptive"`, ...).
-    pub fn routing_name(&self) -> &'static str {
-        self.policy.name()
-    }
-
     /// Fault-path counters (packets dropped by dead nodes, forward
     /// attempts stalled at dead links, escape hops taken). All zero when
     /// the fault plan is empty.
     pub fn fault_stats(&self) -> FaultStats {
         self.fault_stats
-    }
-
-    /// True when `node` is currently alive (no [`FaultEvent::NodeDown`] in
-    /// effect for it).
-    pub fn is_node_up(&self, node: u32) -> bool {
-        self.node_up[node as usize]
     }
 
     /// True when the directed link leaving `from` toward `d` can carry

@@ -34,7 +34,7 @@ use ni_engine::Histogram;
 /// rack-level views are built with [`merge`](TenantAccum::merge). All
 /// counts are application-level (operations and payload bytes as the
 /// tenant sees them), not transport-level (block requests, retries).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TenantAccum {
     /// Operations issued into the NI (offered load side).
     pub issued: u64,
@@ -49,21 +49,6 @@ pub struct TenantAccum {
     /// End-to-end request latency distribution (read/response ops),
     /// successful first-try completions.
     pub latency: Histogram,
-}
-
-impl Default for TenantAccum {
-    fn default() -> Self {
-        TenantAccum {
-            issued: 0,
-            completed: 0,
-            failed: 0,
-            degraded: 0,
-            bytes: 0,
-            // Histogram's derived Default has no buckets allocated;
-            // `Histogram::new` is the recordable empty state.
-            latency: Histogram::new(),
-        }
-    }
 }
 
 impl TenantAccum {

@@ -171,7 +171,7 @@ struct QuorumState {
 }
 
 /// Backend statistics.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct BackendStats {
     /// Transfers accepted.
     pub transfers: Counter,

@@ -93,9 +93,9 @@ impl Rrpp {
         &self.stats
     }
 
-    /// Mean service latency (arrival to response injection), cycles.
-    pub fn mean_latency(&self) -> f64 {
-        self.latency.mean()
+    /// Service latency (arrival to response injection), cycles.
+    pub fn latency(&self) -> &RunningMean {
+        &self.latency
     }
 
     /// Pop one recorded service-latency sample (fed to the rack emulator).

@@ -677,5 +677,5 @@ fn rrpp_latency_counts_queueing_time() {
     r.on_nc_data(Cycle(500), BlockAddr(1), 0);
     while r.pop_egress().is_some() {}
     assert_eq!(r.pop_latency_sample(), Some(500));
-    assert!((r.mean_latency() - 500.0).abs() < 1e-9);
+    assert!((r.latency().mean() - 500.0).abs() < 1e-9);
 }

@@ -70,12 +70,13 @@ fn run_latency_workload(
     }
     let mean = chip.cores[0].stats.latency.mean();
     let hist = chip.cores[0].latency_histogram();
+    let stats = chip.stats();
     LatencyResult {
         size,
         mean_cycles: mean,
         mean_ns: mean * Frequency::GHZ2.nanos_per_cycle(),
-        ops: chip.completed_ops(),
-        rrpp_cycles: chip.rrpp_mean_latency(),
+        ops: stats.completed,
+        rrpp_cycles: stats.rrpp_latency.mean(),
         p50_cycles: hist.percentile(0.50),
         p95_cycles: hist.percentile(0.95),
         p99_cycles: hist.percentile(0.99),
@@ -217,8 +218,8 @@ impl ScenarioRunResult {
 /// Run `scenario` on a single chip (behind the paper's rack emulator) for a
 /// fixed horizon of `cycles` and aggregate the per-core statistics. The
 /// uniform counterpart for multi-node racks is
-/// [`Rack::with_scenario`](crate::Rack::with_scenario) plus the rack's own
-/// accessors.
+/// [`Rack::with_scenario`](crate::Rack::with_scenario) plus
+/// [`Rack::stats`](crate::Rack::stats).
 pub fn run_chip_scenario(
     cfg: ChipConfig,
     scenario: &dyn Scenario,
@@ -232,12 +233,13 @@ pub fn run_chip_scenario(
         sync_latency.merge(&core.stats.latency);
         hist.merge(core.latency_histogram());
     }
+    let stats = chip.stats();
     ScenarioRunResult {
         scenario: scenario.name().to_string(),
         cycles,
-        ops: chip.completed_ops(),
+        ops: stats.completed,
         app_gbps: Frequency::GHZ2
-            .gbps_from_bytes_per_cycle(chip.app_payload_bytes() as f64 / cycles.max(1) as f64),
+            .gbps_from_bytes_per_cycle(stats.app_payload_bytes as f64 / cycles.max(1) as f64),
         sync_latency,
         p99_sync_cycles: hist.percentile(0.99),
     }

@@ -4,7 +4,7 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use ni_coherence::{wire_of, CacheComplex, ClientKind, CohMsg, DirectoryBank, Egress};
-use ni_engine::{Cycle, DelayLine};
+use ni_engine::{Cycle, DelayLine, RunningMean};
 use ni_fabric::{Fabric, FabricStats, RackConfig, RackEmulator, RemoteResp, ReplicaMap, Torus3D};
 use ni_mem::{Addr, BlockAddr, MemRequestKind, MemoryController};
 use ni_noc::{Coord, Interconnect, MeshNoc, MessageClass, NocNode, NocOutNoc, NocStats, Packet};
@@ -14,6 +14,7 @@ use ni_rmc::{NiBackend, NiFrontend, NiMsg, NiPlacement, RmcEgress, Rrpp, TraceTa
 use crate::config::{ChipConfig, TickMode, Topology};
 use crate::core_model::{Core, Workload, NUMA_TID_BASE};
 use crate::scenario::{core_seed, OpCtx, Scenario, Synthetic};
+use crate::stats::NodeStats;
 
 /// Wake timestamp meaning "only an external delivery re-activates this
 /// component" (no self-driven event pending).
@@ -255,16 +256,6 @@ impl Chip {
         });
         // The emulated rack looks like one remote peer: node 1.
         Chip::with_scenario_on(cfg, scenario, Box::new(emulator), 2, None)
-    }
-
-    /// Build a node whose network router hands traffic to `fabric` — the
-    /// pre-scenario multi-node entry point, kept as a thin wrapper.
-    pub fn with_fabric(
-        cfg: ChipConfig,
-        workload: Workload,
-        fabric: Box<dyn Fabric + Send>,
-    ) -> Chip {
-        Chip::with_scenario_on(cfg, &Synthetic::from_workload(workload), fabric, 2, None)
     }
 
     /// Build a node whose network router hands traffic to `fabric`, every
@@ -600,7 +591,8 @@ impl Chip {
     }
 
     /// Total operations completed by all cores (successful and failed —
-    /// see [`Chip::failed_ops`]).
+    /// see [`Chip::failed_ops`]). The cheap progress probe for per-cycle
+    /// loops; every other total comes with [`Chip::stats`].
     pub fn completed_ops(&self) -> u64 {
         self.cores.iter().map(|c| c.stats.completed).sum()
     }
@@ -609,20 +601,6 @@ impl Chip {
     /// watchdog abandoned the transfer after a link or node death).
     pub fn failed_ops(&self) -> u64 {
         self.cores.iter().map(|c| c.stats.failed).sum()
-    }
-
-    /// Remote *reads* that completed with an error CQ status — the
-    /// user-visible request losses an availability study counts (writes
-    /// are reported separately through the quorum counters).
-    pub fn failed_reads(&self) -> u64 {
-        self.cores.iter().map(|c| c.stats.failed_reads).sum()
-    }
-
-    /// Operations that completed ok but through a recovery path: a WQ
-    /// replay to an alternate replica, or a write quorum that absorbed a
-    /// dead fan-out leg.
-    pub fn degraded_ops(&self) -> u64 {
-        self.cores.iter().map(|c| c.stats.degraded).sum()
     }
 
     /// Aggregate RGP/RCP backend statistics over every backend of this
@@ -646,24 +624,13 @@ impl Chip {
         h
     }
 
-    /// Chip-wide latency distribution of *degraded* remote reads — those
-    /// that completed only through a recovery path — kept apart from
-    /// [`Chip::read_latency_histogram`] so failover cost is measurable
-    /// instead of smearing the healthy tail.
-    pub fn degraded_read_latency_histogram(&self) -> ni_engine::Histogram {
-        let mut h = ni_engine::Histogram::new();
-        for c in &self.cores {
-            h.merge(c.degraded_read_latency_histogram());
-        }
-        h
-    }
-
     /// Per-tenant SLO accumulators: every core's application-level counts
     /// and read-latency distribution, grouped by the tenant tag its bound
     /// generator reports ([`Scenario::tenant`]).
     /// Single-tenant scenarios land under tag 0; a
-    /// [`TenantMix`](crate::TenantMix) splits cores across its tags. Merge
-    /// chip maps rack-wide with [`ni_metrics::merge_tenant_stats`].
+    /// [`TenantMix`](crate::TenantMix) splits cores across its tags. Also
+    /// carried as [`NodeStats::tenants`], which `Rack::stats` merges
+    /// rack-wide.
     pub fn tenant_stats(&self) -> ni_metrics::TenantStats {
         let mut map = ni_metrics::TenantStats::new();
         for c in &self.cores {
@@ -691,22 +658,44 @@ impl Chip {
         self.wake();
     }
 
-    /// Mean zero-load RRPP service latency measured so far.
+    /// Mean RRPP service latency measured so far, over every RRPP.
     pub fn rrpp_mean_latency(&self) -> f64 {
-        let mut sum = 0.0;
-        let mut n = 0u32;
+        self.rrpp_latency().mean()
+    }
+
+    /// Service latency over every RRPP of this chip.
+    fn rrpp_latency(&self) -> RunningMean {
+        let mut all = RunningMean::new();
         for r in &self.rrpps {
-            let s = r.stats().serviced.get();
-            if s > 0 {
-                sum += r.mean_latency() * s as f64;
-                n += s as u32;
-            }
+            all.merge(r.latency());
         }
-        if n == 0 {
-            0.0
-        } else {
-            sum / f64::from(n)
+        all
+    }
+
+    /// Snapshot of this node's simulated outcomes: op counts, payload
+    /// bytes, backend counters, latency distributions, per-tenant
+    /// accumulators and RRPP service latency. [`Rack::stats`](crate::Rack::stats)
+    /// folds these in node-id order.
+    pub fn stats(&self) -> NodeStats {
+        let mut s = NodeStats {
+            completed: self.completed_ops(),
+            failed: self.failed_ops(),
+            app_payload_bytes: self.app_payload_bytes(),
+            backend: self.backend_stats(),
+            read_latency: self.read_latency_histogram(),
+            tenants: self.tenant_stats(),
+            rrpp_latency: self.rrpp_latency(),
+            ..NodeStats::new()
+        };
+        for c in &self.cores {
+            s.issued += c.stats.issued;
+            s.failed_reads += c.stats.failed_reads;
+            s.degraded += c.stats.degraded;
+            s.bytes_completed += c.stats.bytes_completed;
+            s.degraded_read_latency
+                .merge(c.degraded_read_latency_histogram());
         }
+        s
     }
 
     /// True when ticking this chip cannot change any observable state: all
@@ -876,29 +865,6 @@ impl Chip {
             }
         }
         next
-    }
-
-    /// Earliest cycle at which this chip does anything on its own: pending
-    /// pipeline or NOC work now, a scheduled component event, or a core
-    /// leaving its declared-idle window. `None` means only external input
-    /// (fabric arrivals, [`Chip::wake`]-style mutation) re-activates it.
-    /// Only meaningful under [`TickMode::Event`], where the wake
-    /// timestamps are maintained; the rack driver and benches use it to
-    /// reason about idle-until-X chips.
-    pub fn next_event_cycle(&self) -> Option<Cycle> {
-        let mut next = if self.dormant_until <= self.now {
-            // Pipeline/NOC work this very cycle (or stale after external
-            // mutation — conservative either way).
-            return Some(self.now);
-        } else {
-            self.dormant_until
-        };
-        for c in &self.cores {
-            if let Some(t) = c.next_activity(self.now) {
-                next = next.min(t.max(self.now));
-            }
-        }
-        (next != NEVER).then_some(next)
     }
 
     /// Re-activate everything after external mutation: reset every wake

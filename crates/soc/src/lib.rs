@@ -17,6 +17,12 @@
 //! over a real [`ni_fabric::TorusFabric`] — actual hop-by-hop multi-node
 //! simulation with per-link bandwidth accounting.
 //!
+//! Every simulated outcome a node reports — op counts, payload bytes,
+//! backend counters, latency distributions, per-tenant SLO accumulators —
+//! comes as one mergeable [`stats::NodeStats`] snapshot:
+//! [`Chip::stats`](chip::Chip::stats) per node, and
+//! [`Rack::stats`](rack::Rack::stats) as the node-order fold of those.
+//!
 //! Workload generation is the open [`scenario::Scenario`] trait: a seeded
 //! per-core operation generator consumed uniformly by the single-chip and
 //! multi-node paths. Four built-ins ship with the crate
@@ -33,6 +39,7 @@ pub mod config;
 pub mod core_model;
 pub mod rack;
 pub mod scenario;
+pub mod stats;
 
 pub use bench::{
     run_bandwidth, run_chip_scenario, run_sync_latency, run_sync_write_latency,
@@ -43,8 +50,9 @@ pub use chip::{Chip, ChipMsg};
 pub use config::{ChipConfig, TickMode, Topology};
 pub use core_model::{Core, CoreStats, Workload, REMOTE_BASE};
 pub use ni_fabric::RoutingKind;
-pub use rack::{LinkReportFormat, Rack, RackSimConfig, TrafficPattern};
+pub use rack::{Rack, RackSimConfig, TrafficPattern};
 pub use scenario::{
     builtin_scenarios, core_seed, Bursty, Capped, ClosedLoop, GraphShard, KvStore, Op, OpCtx,
     Scenario, Synthetic, TenantMix, TenantSpec, Zipf, ZipfHotspot,
 };
+pub use stats::NodeStats;

@@ -46,8 +46,9 @@
 //! Chips share no state during compute and the exchange order is fixed, so
 //! a run is **bit-identical to per-cycle [`Rack::tick`] at any thread
 //! count** — the serial path, one worker, and N workers produce the same
-//! [`FabricStats`](ni_fabric::FabricStats), completed-op counts, and latency
-//! distributions for the same seed. Quiesced chips (permanently idle cores,
+//! [`FabricStats`](ni_fabric::FabricStats) and the same per-node
+//! [`NodeStats`] (op counts, latency distributions, tenant rows) for the
+//! same seed. Quiesced chips (permanently idle cores,
 //! drained pipelines, nothing arriving) are skipped by [`Chip::tick`]'s fast
 //! path, so huge racks with sparse activity stay cheap.
 //!
@@ -59,7 +60,6 @@
 //! [`Rack::new`]`(cfg, workload)` constructor survives as a thin wrapper
 //! over [`Synthetic`] with the config's [`TrafficPattern`].
 
-use std::io::{self, Write};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Barrier;
@@ -67,14 +67,15 @@ use std::sync::Barrier;
 use ni_engine::parallel::{default_threads, par_map_threads};
 use ni_engine::Cycle;
 use ni_fabric::{
-    link_report_csv, link_report_json, Fabric, FabricPort, FaultPlan, FaultStats, LinkReport,
-    RoutingKind, Torus3D, TorusFabric, TorusFabricConfig,
+    Fabric, FabricPort, FaultPlan, FaultStats, LinkReport, RoutingKind, Torus3D, TorusFabric,
+    TorusFabricConfig,
 };
 
 use crate::chip::Chip;
 use crate::config::ChipConfig;
 use crate::core_model::Workload;
 use crate::scenario::{Scenario, Synthetic};
+use crate::stats::NodeStats;
 
 /// How active cores choose their remote destination node (the destination
 /// vocabulary of the built-in [`Synthetic`] scenario).
@@ -106,15 +107,6 @@ impl TrafficPattern {
             TrafficPattern::Opposite => torus.antipode(node),
         }
     }
-}
-
-/// Serialization format for [`Rack::write_link_report`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum LinkReportFormat {
-    /// One header line plus one comma-separated row per directed link.
-    Csv,
-    /// A JSON array of per-link objects.
-    Json,
 }
 
 /// Multi-node rack configuration.
@@ -275,12 +267,6 @@ impl Rack {
     /// Name of the scenario driving this rack's cores.
     pub fn scenario_name(&self) -> &str {
         &self.scenario_name
-    }
-
-    /// Short name of the torus routing policy in use (`"dor"`,
-    /// `"adaptive"`, `"random"`).
-    pub fn routing_name(&self) -> &'static str {
-        self.fabric.routing_name()
     }
 
     /// Compute-phase workers [`Rack::run`] will actually use: the
@@ -517,41 +503,14 @@ impl Rack {
         }
     }
 
-    /// Total operations completed across all nodes (successful and failed
-    /// — see [`Rack::failed_ops`]).
-    pub fn completed_ops(&self) -> u64 {
-        self.chips.iter().map(Chip::completed_ops).sum()
-    }
-
-    /// Operations rack-wide that completed with an error CQ status (the
-    /// NI gave up after a link or node death) — the blast radius the
-    /// failure sweep reports.
-    pub fn failed_ops(&self) -> u64 {
-        self.chips.iter().map(Chip::failed_ops).sum()
-    }
-
-    /// Remote reads rack-wide that completed with an error CQ status —
-    /// the user-visible losses the availability sweep reports. At `k >= 2`
-    /// with replay enabled this should stay zero for reads issued by
-    /// surviving nodes (a dead node's own in-flight work is not counted as
-    /// lost user traffic by the sweep; see `Chip::failed_reads` per node).
-    pub fn failed_reads(&self) -> u64 {
-        self.chips.iter().map(Chip::failed_reads).sum()
-    }
-
-    /// Operations rack-wide that completed ok but through a recovery path
-    /// (WQ replay or a quorum that absorbed a dead leg) — the degraded-mode
-    /// work an availability study weighs against outright losses.
-    pub fn degraded_ops(&self) -> u64 {
-        self.chips.iter().map(Chip::degraded_ops).sum()
-    }
-
-    /// Aggregate RGP/RCP backend statistics over every backend of every
-    /// node — rack-wide ITT timeout/retry pressure.
-    pub fn backend_stats(&self) -> ni_rmc::BackendStats {
-        let mut total = ni_rmc::BackendStats::default();
+    /// Rack-wide snapshot of simulated outcomes: every chip's
+    /// [`Chip::stats`] folded with [`NodeStats::merge`] in node-id order.
+    /// Op counts, payload bytes, backend counters, read-latency tails and
+    /// per-tenant SLO accumulators all come from here.
+    pub fn stats(&self) -> NodeStats {
+        let mut total = NodeStats::new();
         for chip in &self.chips {
-            total.merge(&chip.backend_stats());
+            total.merge(&chip.stats());
         }
         total
     }
@@ -560,12 +519,6 @@ impl Rack {
     /// nodes, forward attempts stalled at dead links, escape hops taken).
     pub fn fault_stats(&self) -> FaultStats {
         self.fabric.fault_stats()
-    }
-
-    /// Application payload bytes moved rack-wide (RCP deliveries plus RRPP
-    /// services, summed over nodes — §6.2's definition per node).
-    pub fn app_payload_bytes(&self) -> u64 {
-        self.chips.iter().map(Chip::app_payload_bytes).sum()
     }
 
     /// Fabric-wide traffic counters.
@@ -578,70 +531,10 @@ impl Rack {
         self.fabric.link_report()
     }
 
-    /// As [`link_report`](Rack::link_report), reusing `out`'s allocation —
-    /// for periodic sampling inside measurement loops.
-    pub fn link_report_into(&self, out: &mut Vec<LinkReport>) {
-        self.fabric.link_report_into(out);
-    }
-
     /// Per-link load imbalance: busiest link's total bytes over the mean of
     /// all loaded links (1.0 when balanced or idle); allocation-free.
     pub fn link_byte_skew(&self) -> f64 {
         self.fabric.link_byte_skew()
-    }
-
-    /// Write the per-directed-link report to `w` in the given `format` —
-    /// machine-readable output for hotspot and congestion studies.
-    pub fn write_link_report(&self, w: &mut dyn Write, format: LinkReportFormat) -> io::Result<()> {
-        let links = self.link_report();
-        let body = match format {
-            LinkReportFormat::Csv => link_report_csv(&links),
-            LinkReportFormat::Json => link_report_json(&links),
-        };
-        w.write_all(body.as_bytes())
-    }
-
-    /// Mean RRPP service latency of each node, in node-id order — skewed
-    /// scenarios show queueing on the hot node here.
-    pub fn rrpp_mean_latencies(&self) -> Vec<f64> {
-        self.chips.iter().map(Chip::rrpp_mean_latency).collect()
-    }
-
-    /// Rack-wide distribution of end-to-end remote-read latencies (sync,
-    /// async, and NUMA reads), merged over every core of every node in
-    /// node-id order — `p99` of this is the tail metric the routing and
-    /// congestion sweeps report.
-    pub fn read_latency_histogram(&self) -> ni_engine::Histogram {
-        let mut h = ni_engine::Histogram::new();
-        for chip in &self.chips {
-            h.merge(&chip.read_latency_histogram());
-        }
-        h
-    }
-
-    /// Rack-wide latency distribution of *degraded* remote reads — those
-    /// completed through a WQ replay to an alternate replica — merged over
-    /// every node. Reported next to [`Rack::read_latency_histogram`] so
-    /// failover cost is a distribution of its own, not a fattening of the
-    /// healthy tail.
-    pub fn degraded_read_latency_histogram(&self) -> ni_engine::Histogram {
-        let mut h = ni_engine::Histogram::new();
-        for chip in &self.chips {
-            h.merge(&chip.degraded_read_latency_histogram());
-        }
-        h
-    }
-
-    /// Rack-wide per-tenant SLO accumulators: every chip's
-    /// [`Chip::tenant_stats`] merged by tenant tag in node-id order. The
-    /// input `experiments::serving_sweep` summarizes into per-tenant
-    /// offered/achieved load, goodput, and latency percentiles.
-    pub fn tenant_stats(&self) -> ni_metrics::TenantStats {
-        let mut map = ni_metrics::TenantStats::new();
-        for chip in &self.chips {
-            ni_metrics::merge_tenant_stats(&mut map, &chip.tenant_stats());
-        }
-        map
     }
 
     /// Largest per-link peak bandwidth seen so far, GB/s.
@@ -726,13 +619,10 @@ mod tests {
         serial.run(1_200);
         let mut uneven = build(4);
         uneven.run(1_200);
-        assert!(serial.completed_ops() > 0, "reference run must do work");
-        assert_eq!(uneven.completed_ops(), serial.completed_ops());
+        assert!(serial.stats().completed > 0, "reference run must do work");
+        assert_eq!(uneven.stats(), serial.stats());
         assert_eq!(uneven.hops_traversed(), serial.hops_traversed());
-        assert_eq!(
-            uneven.fabric_stats().sent.get(),
-            serial.fabric_stats().sent.get()
-        );
+        assert_eq!(uneven.fabric_stats(), serial.fabric_stats());
     }
 
     /// A panic on the *driver* thread during the exchange phase (here: the
@@ -838,17 +728,12 @@ mod tests {
         };
         let mut rack = Rack::new(cfg, Workload::SyncRead { size: 64 });
         rack.run(3_000);
-        let mut csv = Vec::new();
-        rack.write_link_report(&mut csv, LinkReportFormat::Csv)
-            .expect("in-memory write");
-        let csv = String::from_utf8(csv).expect("utf8");
+        let links = rack.link_report();
+        let csv = ni_fabric::link_report_csv(&links);
         // Header plus one row per directed link (2 nodes x 6 directions).
         assert_eq!(csv.lines().count(), 1 + 12);
         assert!(csv.starts_with(LinkReport::CSV_HEADER));
-        let mut json = Vec::new();
-        rack.write_link_report(&mut json, LinkReportFormat::Json)
-            .expect("in-memory write");
-        let json = String::from_utf8(json).expect("utf8");
+        let json = ni_fabric::link_report_json(&links);
         assert_eq!(json.matches("\"node\":").count(), 12);
         assert!(json.trim_start().starts_with('[') && json.trim_end().ends_with(']'));
     }

@@ -83,13 +83,10 @@ fn async_cores_make_progress_and_mirror_traffic() {
         },
     );
     chip.run(60_000);
-    assert!(
-        chip.completed_ops() > 50,
-        "only {} ops",
-        chip.completed_ops()
-    );
-    assert!(chip.app_payload_bytes() > 0);
+    let stats = chip.stats();
+    assert!(stats.completed > 50, "only {} ops", stats.completed);
+    assert!(stats.app_payload_bytes > 0);
     // Rate matching: incoming requests were generated and serviced.
     assert!(chip.fabric_stats().incoming_generated.get() > 0);
-    assert!(chip.rrpp_mean_latency() > 0.0);
+    assert!(stats.rrpp_latency.mean() > 0.0);
 }

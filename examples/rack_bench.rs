@@ -16,8 +16,8 @@
 //!    the parallel-tick speedup, and speedup / threads (serial wall over
 //!    threads × parallel wall) the parallel efficiency, both per size.
 //! 3. **Determinism guard** — the serial and parallel runs of each point
-//!    must produce identical fabric counters, completed ops, and hop
-//!    counts; any divergence aborts the benchmark.
+//!    must produce identical `Rack::stats` snapshots, fabric counters, and
+//!    hop counts; any divergence aborts the benchmark.
 //!
 //! Two traffic shapes run per sweep:
 //!
@@ -43,7 +43,8 @@
 use std::time::Instant;
 
 use rackni::experiments::{build_idle_rack_point, build_rack_point, Scale};
-use rackni::ni_soc::{TickMode, TrafficPattern};
+use rackni::ni_fabric::FabricStats;
+use rackni::ni_soc::{NodeStats, TickMode, TrafficPattern};
 use rackni::parallel::default_threads;
 use rackni::report::{f1, BenchRecord, Fields, Table};
 
@@ -65,23 +66,15 @@ impl Shape {
     }
 }
 
-/// Observable outcome of one run — serial and parallel runs of the same
-/// seeded config must match exactly.
-#[derive(Debug, PartialEq, Eq)]
-struct Fingerprint {
-    sent: u64,
-    incoming: u64,
-    responded: u64,
-    completed_ops: u64,
-    hops: u64,
-}
-
 struct RunResult {
     build_ms: f64,
     wall_ms: f64,
     cps: f64,
     sync_rounds: u64,
-    fp: Fingerprint,
+    /// Observable outcome — serial and parallel runs of the same seeded
+    /// config must match exactly: the rack's stats snapshot, its fabric
+    /// counters and its hop count.
+    fp: (NodeStats, FabricStats, u64),
 }
 
 fn run_point(shape: Shape, dims: (u16, u16, u16), cycles: u64, threads: usize) -> RunResult {
@@ -100,19 +93,12 @@ fn run_point(shape: Shape, dims: (u16, u16, u16), cycles: u64, threads: usize) -
     let t1 = Instant::now();
     rack.run(cycles);
     let wall = t1.elapsed().as_secs_f64();
-    let fs = rack.fabric_stats();
     RunResult {
         build_ms,
         wall_ms: wall * 1e3,
         cps: cycles as f64 / wall.max(1e-9),
         sync_rounds: rack.sync_rounds(),
-        fp: Fingerprint {
-            sent: fs.sent.get(),
-            incoming: fs.incoming_generated.get(),
-            responded: fs.responded.get(),
-            completed_ops: rack.completed_ops(),
-            hops: rack.hops_traversed(),
-        },
+        fp: (rack.stats(), rack.fabric_stats(), rack.hops_traversed()),
     }
 }
 
@@ -214,8 +200,8 @@ fn main() {
             format!("{speedup:.2}x"),
             format!("{efficiency:.2}"),
             serial.sync_rounds.to_string(),
-            serial.fp.completed_ops.to_string(),
-            serial.fp.hops.to_string(),
+            serial.fp.0.completed.to_string(),
+            serial.fp.2.to_string(),
         ]);
         record.push(
             Fields::new()
@@ -232,15 +218,15 @@ fn main() {
                 .float("wall_ms_serial", serial.wall_ms, 1)
                 .float("wall_ms_parallel", pwall, 1)
                 .float("build_ms", serial.build_ms, 1)
-                .int("completed_ops", serial.fp.completed_ops)
-                .int("hops", serial.fp.hops),
+                .int("completed_ops", serial.fp.0.completed)
+                .int("hops", serial.fp.2),
         );
     }
     println!("{}", table.render());
     if host_threads > 1 {
         println!(
-            "serial and parallel runs produced identical fabric counters, ops, \
-             and hop counts at every size (determinism guard passed)"
+            "serial and parallel runs produced identical stats snapshots, fabric \
+             counters, and hop counts at every size (determinism guard passed)"
         );
     } else {
         println!(

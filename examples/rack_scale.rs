@@ -7,12 +7,10 @@
 //! cargo run --release --example rack_scale
 //! ```
 
-use rackni::experiments::{link_byte_skew, Scale};
+use rackni::experiments::Scale;
 use rackni::ni_engine::Frequency;
-use rackni::ni_fabric::Torus3D;
-use rackni::ni_soc::{
-    ChipConfig, LinkReportFormat, Rack, RackSimConfig, TrafficPattern, Workload, ZipfHotspot,
-};
+use rackni::ni_fabric::{link_report_csv, Torus3D};
+use rackni::ni_soc::{ChipConfig, Rack, RackSimConfig, TrafficPattern, Workload, ZipfHotspot};
 use rackni::report::{f1, Table};
 
 fn main() {
@@ -58,11 +56,12 @@ fn main() {
             },
         );
         rack.run(cycles);
+        let stats = rack.stats();
         let agg = Frequency::GHZ2
-            .gbps_from_bytes_per_cycle(rack.app_payload_bytes() as f64 / cycles as f64);
+            .gbps_from_bytes_per_cycle(stats.app_payload_bytes as f64 / cycles as f64);
         summary.row_owned(vec![
             format!("{traffic:?}"),
-            rack.completed_ops().to_string(),
+            stats.completed.to_string(),
             f1(agg),
             rack.hops_traversed().to_string(),
             f1(rack.peak_link_gbps()),
@@ -79,11 +78,12 @@ fn main() {
     for chip in rack.chips() {
         let id = u32::from(chip.node_id());
         let c = torus.coords(id);
+        let stats = chip.stats();
         nodes.row_owned(vec![
             id.to_string(),
             format!("({},{},{})", c.0, c.1, c.2),
-            chip.completed_ops().to_string(),
-            chip.app_payload_bytes().to_string(),
+            stats.completed.to_string(),
+            stats.app_payload_bytes.to_string(),
         ]);
     }
     println!("{}", nodes.render());
@@ -122,9 +122,7 @@ fn main() {
 
     // Machine-readable per-link dump for offline congestion analysis.
     let csv_path = std::path::Path::new("target").join("rack_scale_links.csv");
-    let mut csv = std::fs::File::create(&csv_path).expect("create link report");
-    rack.write_link_report(&mut csv, LinkReportFormat::Csv)
-        .expect("write link report");
+    std::fs::write(&csv_path, link_report_csv(&rack.link_report())).expect("write link report");
     println!("per-link report written to {}\n", csv_path.display());
 
     // Hotspot study: the same rack under Zipf-skewed destinations — the
@@ -141,24 +139,23 @@ fn main() {
     };
     let mut hot = Rack::with_scenario(hot_cfg, &ZipfHotspot::default());
     hot.run(cycles);
-    let uniform_skew = link_byte_skew(&rack);
-    let hot_skew = link_byte_skew(&hot);
+    let uniform_skew = rack.link_byte_skew();
+    let hot_skew = hot.link_byte_skew();
     println!(
         "link load skew (busiest link bytes / mean loaded link): uniform {uniform_skew:.2}x, \
          zipf-hotspot {hot_skew:.2}x"
     );
-    let rrpp = hot.rrpp_mean_latencies();
-    println!(
-        "zipf-hotspot RRPP mean service latency per node: {:?} cycles",
-        rrpp.iter().map(|l| l.round()).collect::<Vec<_>>()
-    );
+    let rrpp: Vec<f64> = hot
+        .chips()
+        .iter()
+        .map(|c| c.rrpp_mean_latency().round())
+        .collect();
+    println!("zipf-hotspot RRPP mean service latency per node: {rrpp:?} cycles");
     assert!(
         hot_skew > uniform_skew,
         "zipf hotspot must load links more unevenly than uniform traffic"
     );
     let hot_csv = std::path::Path::new("target").join("rack_scale_links_hotspot.csv");
-    let mut f = std::fs::File::create(&hot_csv).expect("create hotspot report");
-    hot.write_link_report(&mut f, LinkReportFormat::Csv)
-        .expect("write hotspot report");
+    std::fs::write(&hot_csv, link_report_csv(&hot.link_report())).expect("write hotspot report");
     println!("hotspot per-link report written to {}", hot_csv.display());
 }

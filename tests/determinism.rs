@@ -8,7 +8,12 @@
 //! process. Before the cleanup, the cache complex broke LRU-victim ties and
 //! the trace table folded float means in hash order — both converted to
 //! `BTreeMap` (along with the RMC pipeline and chip dispatch maps), and
-//! these runs pin the conversion down.
+//! these runs pin the conversion down. The fingerprint is the shared one
+//! (`common::fingerprint`): every node's stats snapshot plus the fabric's
+//! counters, so a reordered victim choice, retry or delivery anywhere —
+//! down to one latency sample or one tenant's accounting — shows up.
+
+mod common;
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -21,48 +26,7 @@ use rackni::ni_soc::{
     TenantMix, TrafficPattern, Workload,
 };
 
-/// Everything a reordered victim choice, retry, or delivery could perturb:
-/// aggregate and per-node completion counts, traffic/fault/watchdog
-/// counters, and the RRPP latency means (bit-compared — floats diverge if
-/// any sample's *order or timing* moves).
-#[derive(Debug, PartialEq)]
-struct Fingerprint {
-    sent: u64,
-    responded: u64,
-    incoming: u64,
-    completed_ops: u64,
-    failed_ops: u64,
-    payload_bytes: u64,
-    hops: u64,
-    timeouts: u64,
-    retries: u64,
-    replays: u64,
-    quorum_writes: u64,
-    degraded: u64,
-    rrpp_means: Vec<f64>,
-    per_node_ops: Vec<u64>,
-}
-
-fn fingerprint(rack: &Rack) -> Fingerprint {
-    let fs = rack.fabric_stats();
-    let be = rack.backend_stats();
-    Fingerprint {
-        sent: fs.sent.get(),
-        responded: fs.responded.get(),
-        incoming: fs.incoming_generated.get(),
-        completed_ops: rack.completed_ops(),
-        failed_ops: rack.failed_ops(),
-        payload_bytes: rack.app_payload_bytes(),
-        hops: rack.hops_traversed(),
-        timeouts: be.itt_timeouts.get(),
-        retries: be.itt_retries.get(),
-        replays: be.replays.get(),
-        quorum_writes: be.quorum_writes.get(),
-        degraded: rack.degraded_ops(),
-        rrpp_means: rack.rrpp_mean_latencies(),
-        per_node_ops: rack.chips().iter().map(|c| c.completed_ops()).collect(),
-    }
-}
+use common::fingerprint;
 
 /// A healthy seeded rack: 2x2x2 torus, every node issuing async remote
 /// reads. Exercises the frontend poll/dispatch maps, the RRPP pending
@@ -186,84 +150,75 @@ fn serving_run(cycles: u64) -> Rack {
     rack
 }
 
-/// One tenant's observable row: (tag, issued, completed, bytes, p99).
-type TenantRow = (u8, u64, u64, u64, u64);
-
-/// The serving fingerprint: the transport fingerprint plus the per-tenant
-/// SLO observables (counts, goodput bytes, tail percentiles) the metrics
-/// crate aggregates — a reordering that only moved *which tenant* an op
-/// was accounted to would slip past the transport-level fields.
-fn serving_fingerprint(rack: &Rack) -> (Fingerprint, Vec<TenantRow>) {
-    let tenants = rack
-        .tenant_stats()
-        .iter()
-        .map(|(tag, a)| {
-            (
-                *tag,
-                a.issued,
-                a.completed,
-                a.bytes,
-                a.latency.percentile(0.99),
-            )
-        })
-        .collect();
-    (fingerprint(rack), tenants)
-}
-
 #[test]
 fn same_seed_twice_in_one_process_is_bit_identical() {
     let cycles = 4_000;
-    let a = fingerprint(&healthy_run(cycles));
-    assert!(a.completed_ops > 0, "run must do real work: {a:?}");
-    assert!(a.hops > 0, "run must cross the fabric: {a:?}");
-    let b = fingerprint(&healthy_run(cycles));
-    assert_eq!(a, b, "same seed, same process, different fingerprint");
+    let rack = healthy_run(cycles);
+    let completed = rack.stats().completed;
+    assert!(completed > 0, "run must do real work");
+    assert!(rack.hops_traversed() > 0, "run must cross the fabric");
+    assert_eq!(
+        fingerprint(&rack),
+        fingerprint(&healthy_run(cycles)),
+        "same seed, same process, different fingerprint"
+    );
 }
 
 #[test]
 fn same_seed_watchdog_run_is_bit_identical() {
     let cycles = 12_000;
-    let a = fingerprint(&faulty_run(cycles));
-    assert!(
-        a.timeouts > 0,
-        "the dead link must trip the ITT watchdog: {a:?}"
+    let rack = faulty_run(cycles);
+    let timeouts = rack.stats().backend.itt_timeouts.get();
+    assert!(timeouts > 0, "the dead link must trip the ITT watchdog");
+    assert_eq!(
+        fingerprint(&rack),
+        fingerprint(&faulty_run(cycles)),
+        "same seed, same faults, different fingerprint"
     );
-    let b = fingerprint(&faulty_run(cycles));
-    assert_eq!(a, b, "same seed, same faults, different fingerprint");
 }
 
 #[test]
 fn same_seed_recovery_run_is_bit_identical() {
     let cycles = 20_000;
-    let a = fingerprint(&recovery_run(cycles));
+    let rack = recovery_run(cycles);
+    let stats = rack.stats();
     assert!(
-        a.replays > 0,
-        "the node kill must force WQ replays through the replica map: {a:?}"
+        stats.backend.replays.get() > 0,
+        "the node kill must force WQ replays through the replica map"
     );
     assert!(
-        a.quorum_writes > 0,
-        "the PUT slice must fan out through the quorum table: {a:?}"
+        stats.backend.quorum_writes.get() > 0,
+        "the PUT slice must fan out through the quorum table"
     );
     assert!(
-        a.degraded > 0,
-        "replayed reads must complete with the degraded flag: {a:?}"
+        stats.degraded > 0,
+        "replayed reads must complete with the degraded flag"
     );
-    let b = fingerprint(&recovery_run(cycles));
-    assert_eq!(a, b, "same seed, same recovery, different fingerprint");
+    assert_eq!(
+        fingerprint(&rack),
+        fingerprint(&recovery_run(cycles)),
+        "same seed, same recovery, different fingerprint"
+    );
 }
 
+/// The serving mix adds per-tenant accounting to the contract: a
+/// reordering that only moved *which tenant* an op was accounted to would
+/// slip past transport-level counters, but not past the per-node tenant
+/// rows in the fingerprint.
 #[test]
 fn same_seed_serving_run_is_bit_identical_per_tenant() {
     let cycles = 10_000;
-    let (a, ta) = serving_fingerprint(&serving_run(cycles));
-    assert!(a.completed_ops > 0, "run must do real work: {a:?}");
-    let kv = ta.iter().find(|t| t.0 == 1).expect("kv tenant reported");
-    let bulk = ta.iter().find(|t| t.0 == 2).expect("bulk tenant reported");
-    assert!(kv.2 > 0, "kv tenant must complete ops: {ta:?}");
-    assert!(bulk.2 > 0, "bulk tenant must complete ops: {ta:?}");
-    let (b, tb) = serving_fingerprint(&serving_run(cycles));
-    assert_eq!(a, b, "same seed, same mix, different fingerprint");
-    assert_eq!(ta, tb, "same seed, different per-tenant accounting");
+    let rack = serving_run(cycles);
+    let tenants = rack.stats().tenants;
+    for (tag, name) in [(1, "kv"), (2, "bulk")] {
+        let completed = tenants.get(&tag).map_or(0, |t| t.completed);
+        assert!(completed > 0, "{name} tenant must complete ops");
+    }
+    assert_eq!(
+        fingerprint(&rack),
+        fingerprint(&serving_run(cycles)),
+        "same seed, same mix, different fingerprint"
+    );
 }
 
 /// Wraps the scenario *inside* a [`ClosedLoop`] and records the largest
@@ -318,7 +273,7 @@ proptest! {
         cfg.chip.seed = 0xc105;
         let mut rack = Rack::with_scenario(cfg, &closed);
         rack.run(4_000);
-        prop_assert!(rack.completed_ops() > 0, "run must do real work");
+        prop_assert!(rack.stats().completed > 0, "run must do real work");
         let seen = max_inflight.load(Ordering::Relaxed);
         prop_assert!(
             seen < window,

@@ -114,7 +114,7 @@ fn rate_matching_mirrors_outgoing_traffic() {
     let incoming = chip.fabric_stats().incoming_generated.get();
     assert_eq!(sent, incoming, "§5: incoming rate matches outgoing rate");
     assert!(
-        chip.rrpp_mean_latency() > 0.0,
+        chip.stats().rrpp_latency.mean() > 0.0,
         "RRPPs serviced incoming requests"
     );
 }
@@ -146,11 +146,12 @@ fn app_bandwidth_counts_both_directions() {
         },
     );
     chip.run(40_000);
-    let total = chip.app_payload_bytes();
+    let stats = chip.stats();
+    let total = stats.app_payload_bytes;
     assert!(total > 0);
     // Mirrored traffic means RRPP-sent bytes roughly track RCP-delivered
     // bytes; both must be non-trivial.
-    let ops = chip.completed_ops();
+    let ops = stats.completed;
     assert!(ops > 0);
     assert!(total >= ops * 1024, "delivered bytes cover completed reads");
 }
@@ -159,8 +160,9 @@ fn app_bandwidth_counts_both_directions() {
 fn idle_workload_stays_quiescent() {
     let mut chip = Chip::new(cfg(NiPlacement::Split, Topology::Mesh), Workload::Idle);
     chip.run(5_000);
-    assert_eq!(chip.completed_ops(), 0);
-    assert_eq!(chip.app_payload_bytes(), 0);
+    let stats = chip.stats();
+    assert_eq!(stats.completed, 0);
+    assert_eq!(stats.app_payload_bytes, 0);
     assert_eq!(chip.fabric_stats().sent.get(), 0);
 }
 

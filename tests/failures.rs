@@ -136,10 +136,11 @@ fn fault_adaptive_is_bit_identical_to_minimal_adaptive_when_healthy() {
         );
         let mut rack = Rack::with_scenario(cfg, &capped);
         rack.run(20_000);
+        let stats = rack.stats();
         (
-            rack.completed_ops(),
-            rack.failed_ops(),
-            rack.app_payload_bytes(),
+            stats.completed,
+            stats.failed,
+            stats.app_payload_bytes,
             rack.hops_traversed(),
             rack.link_report()
                 .iter()
@@ -184,12 +185,12 @@ fn link_repair_restores_the_job_without_casualties() {
     let mut rack = Rack::with_scenario(cfg, &capped);
     let expected = 3 * 4;
     let mut guard = 0;
-    while rack.completed_ops() < expected {
+    while rack.stats().completed < expected {
         rack.run(500);
         guard += 1;
         assert!(guard < 200, "repaired job never completed");
     }
-    assert_eq!(rack.failed_ops(), 0, "repair must beat the watchdog");
+    assert_eq!(rack.stats().failed, 0, "repair must beat the watchdog");
     assert!(
         rack.fault_stats().dead_link_stalls.get() > 0,
         "the kill window must have actually stalled traffic"
@@ -269,18 +270,18 @@ fn node_kill_at_k2_loses_zero_reads_on_survivors() {
             continue;
         }
         assert_eq!(
-            chip.failed_reads(),
+            chip.stats().failed_reads,
             0,
             "survivor {n} lost reads despite K=2 + replay"
         );
     }
-    let be = rack.backend_stats();
+    let stats = rack.stats();
     assert!(
-        be.replays.get() > 0,
+        stats.backend.replays.get() > 0,
         "recovery must actually run through the replay path"
     );
     assert!(
-        rack.degraded_ops() > 0,
+        stats.degraded > 0,
         "replayed reads must surface the degraded completion flag"
     );
 }
@@ -305,7 +306,7 @@ fn quorum_writes_survive_one_dead_replica() {
         }
         assert_eq!(chip.failed_ops(), 0, "survivor {n} saw an error CQ entry");
     }
-    let be = rack.backend_stats();
+    let be = rack.stats().backend;
     assert!(
         be.quorum_writes.get() > 0,
         "K=2 writes must fan out through the quorum table"

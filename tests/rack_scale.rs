@@ -1,13 +1,20 @@
 //! Multi-node rack integration tests: cross-node request/response semantics
 //! over the real torus fabric, the latency floor of the wires, per-link
-//! accounting, and bit-exact reproducibility from the config seed.
+//! accounting, and bit-exact reproducibility from the config seed. Every
+//! bit-identity check compares the shared `common::fingerprint`.
 
-use rackni::ni_fabric::Torus3D;
+mod common;
+
+use rackni::ni_fabric::{FaultPlan, RoutingKind, Torus3D};
 use rackni::ni_mem::Addr;
 use rackni::ni_qp::RemoteOp;
+use rackni::ni_rmc::NiPlacement;
 use rackni::ni_soc::{
-    Chip, ChipConfig, Op, OpCtx, Rack, RackSimConfig, Scenario, TrafficPattern, Workload,
+    Chip, ChipConfig, ClosedLoop, GraphShard, KvStore, NodeStats, Op, OpCtx, Rack, RackSimConfig,
+    Scenario, TenantMix, TrafficPattern, Workload,
 };
+
+use common::fingerprint;
 
 const REMOTE_BASE: u64 = 1 << 40;
 
@@ -96,16 +103,10 @@ fn eight_node_rack_completes_ops_on_every_node() {
     );
     rack.run(15_000);
     for chip in rack.chips() {
-        assert!(
-            chip.completed_ops() > 0,
-            "node {} completed nothing",
-            chip.node_id()
-        );
-        assert!(
-            chip.app_payload_bytes() > 0,
-            "node {} moved no payload",
-            chip.node_id()
-        );
+        let stats = chip.stats();
+        let node = chip.node_id();
+        assert!(stats.completed > 0, "node {node} completed nothing");
+        assert!(stats.app_payload_bytes > 0, "node {node} moved no payload");
     }
     let link_sum: u64 = rack.link_report().iter().map(|l| l.packets).sum();
     assert_eq!(link_sum, rack.hops_traversed());
@@ -133,34 +134,9 @@ fn numa_workload_crosses_the_torus() {
 /// The two-phase parallel tick is bit-identical to the serial path: the
 /// same seeded 3x3x3 scenario run (a) serially via `Rack::tick`, (b) through
 /// `Rack::run` pinned to one worker, and (c) through `Rack::run` with four
-/// workers must produce byte-equal `FabricStats`, completed-op counts,
-/// per-node RRPP mean latencies, hop counts, and payload bytes.
+/// workers must produce identical fingerprints.
 #[test]
 fn parallel_rack_is_bit_identical_to_serial_at_any_thread_count() {
-    #[derive(Debug, PartialEq)]
-    struct Fingerprint {
-        sent: u64,
-        responded: u64,
-        incoming: u64,
-        completed_ops: u64,
-        payload_bytes: u64,
-        hops: u64,
-        rrpp_means: Vec<f64>,
-        per_node_ops: Vec<u64>,
-    }
-    let fingerprint = |rack: &Rack| {
-        let fs = rack.fabric_stats();
-        Fingerprint {
-            sent: fs.sent.get(),
-            responded: fs.responded.get(),
-            incoming: fs.incoming_generated.get(),
-            completed_ops: rack.completed_ops(),
-            payload_bytes: rack.app_payload_bytes(),
-            hops: rack.hops_traversed(),
-            rrpp_means: rack.rrpp_mean_latencies(),
-            per_node_ops: rack.chips().iter().map(|c| c.completed_ops()).collect(),
-        }
-    };
     let cycles = 1_500u64;
     let build = |threads: usize| {
         let mut cfg = rack_cfg(Torus3D::new(3, 3, 3), 2, TrafficPattern::Uniform);
@@ -179,9 +155,15 @@ fn parallel_rack_is_bit_identical_to_serial_at_any_thread_count() {
     for _ in 0..cycles {
         serial.tick();
     }
+    assert!(
+        serial.stats().completed > 0,
+        "reference run must do real work"
+    );
+    assert!(
+        serial.hops_traversed() > 0,
+        "reference run must cross the fabric"
+    );
     let want = fingerprint(&serial);
-    assert!(want.completed_ops > 0, "reference run must do real work");
-    assert!(want.hops > 0, "reference run must cross the fabric");
 
     for threads in [1usize, 4] {
         let mut rack = build(threads);
@@ -196,53 +178,19 @@ fn parallel_rack_is_bit_identical_to_serial_at_any_thread_count() {
 
 /// A run with a `FaultPlan` — link kill, node kill, and a repair, with the
 /// ITT watchdog armed — is still a pure function of its config: serial
-/// ticking, one worker, and four workers must produce byte-equal traffic
-/// counters, completed/failed op counts, fault-path counters, and watchdog
-/// statistics. All fault state lives in the driver-side fabric and the
-/// per-chip backends, so thread count can never observe it mid-change.
+/// ticking, one worker, and four workers must produce identical
+/// fingerprints — fault-path and watchdog counters included. All fault
+/// state lives in the driver-side fabric and the per-chip backends, so
+/// thread count can never observe it mid-change.
 #[test]
 fn faulted_rack_runs_are_bit_identical_across_thread_counts() {
-    use rackni::ni_fabric::FaultPlan;
-
-    #[derive(Debug, PartialEq)]
-    struct Fingerprint {
-        sent: u64,
-        responded: u64,
-        completed_ops: u64,
-        failed_ops: u64,
-        hops: u64,
-        dropped: u64,
-        stalls: u64,
-        escapes: u64,
-        timeouts: u64,
-        retries: u64,
-        per_node_ops: Vec<u64>,
-    }
-    let fingerprint = |rack: &Rack| {
-        let fs = rack.fabric_stats();
-        let fstats = rack.fault_stats();
-        let be = rack.backend_stats();
-        Fingerprint {
-            sent: fs.sent.get(),
-            responded: fs.responded.get(),
-            completed_ops: rack.completed_ops(),
-            failed_ops: rack.failed_ops(),
-            hops: rack.hops_traversed(),
-            dropped: fstats.packets_dropped.get(),
-            stalls: fstats.dead_link_stalls.get(),
-            escapes: fstats.escape_hops.get(),
-            timeouts: be.itt_timeouts.get(),
-            retries: be.itt_retries.get(),
-            per_node_ops: rack.chips().iter().map(|c| c.completed_ops()).collect(),
-        }
-    };
     let build = |threads: usize| {
         let mut cfg = rack_cfg(Torus3D::new(3, 3, 1), 2, TrafficPattern::Uniform);
         cfg.chip.seed = 0xfa117;
         cfg.chip.rmc.itt_timeout = 1_200;
         cfg.chip.rmc.itt_retries = 1;
         cfg.threads = threads;
-        cfg.routing = rackni::ni_fabric::RoutingKind::FaultAdaptive;
+        cfg.routing = RoutingKind::FaultAdaptive;
         cfg.faults = FaultPlan::new()
             .link_down(0, 1, 400)
             .node_down(4, 900)
@@ -260,12 +208,8 @@ fn faulted_rack_runs_are_bit_identical_across_thread_counts() {
     for _ in 0..cycles {
         serial.tick();
     }
+    assert_fault_plan_bites(&serial);
     let want = fingerprint(&serial);
-    assert!(want.completed_ops > 0, "reference run must do work");
-    assert!(
-        want.dropped > 0 && want.timeouts > 0,
-        "the fault plan must actually bite: {want:?}"
-    );
     for threads in [1usize, 4] {
         let mut rack = build(threads);
         rack.run(cycles);
@@ -293,12 +237,7 @@ fn rack_runs_are_reproducible_from_the_config_seed() {
             },
         );
         rack.run(8_000);
-        (
-            rack.completed_ops(),
-            rack.app_payload_bytes(),
-            rack.hops_traversed(),
-            rack.fabric_stats().responded.get(),
-        )
+        fingerprint(&rack)
     };
     assert_eq!(run(42), run(42), "same seed must reproduce bit-identically");
 
@@ -316,11 +255,7 @@ fn rack_runs_are_reproducible_from_the_config_seed() {
             },
         );
         chip.run(8_000);
-        (
-            chip.completed_ops(),
-            chip.app_payload_bytes(),
-            chip.fabric_stats().incoming_generated.get(),
-        )
+        (chip.stats(), chip.fabric_stats())
     };
     assert_eq!(emulated(7), emulated(7));
 }
@@ -358,48 +293,17 @@ fn rack_scale_experiment_reports_scaling_rows() {
 
 // ---- Event-driven tick equivalence -----------------------------------------
 
-/// Shared observable fingerprint for the tick-mode equivalence tests:
-/// everything a reordered, duplicated, or dropped delivery could perturb —
-/// aggregate and per-node completion counts, traffic/fault counters, and
-/// the RRPP latency means (which change if any packet's *timing* moves).
-#[derive(Debug, PartialEq)]
-struct TickFingerprint {
-    sent: u64,
-    responded: u64,
-    incoming: u64,
-    completed_ops: u64,
-    failed_ops: u64,
-    payload_bytes: u64,
-    hops: u64,
-    dropped: u64,
-    stalls: u64,
-    escapes: u64,
-    timeouts: u64,
-    retries: u64,
-    rrpp_means: Vec<f64>,
-    per_node_ops: Vec<u64>,
-}
-
-fn tick_fingerprint(rack: &Rack) -> TickFingerprint {
-    let fs = rack.fabric_stats();
-    let fstats = rack.fault_stats();
-    let be = rack.backend_stats();
-    TickFingerprint {
-        sent: fs.sent.get(),
-        responded: fs.responded.get(),
-        incoming: fs.incoming_generated.get(),
-        completed_ops: rack.completed_ops(),
-        failed_ops: rack.failed_ops(),
-        payload_bytes: rack.app_payload_bytes(),
-        hops: rack.hops_traversed(),
-        dropped: fstats.packets_dropped.get(),
-        stalls: fstats.dead_link_stalls.get(),
-        escapes: fstats.escape_hops.get(),
-        timeouts: be.itt_timeouts.get(),
-        retries: be.itt_retries.get(),
-        rrpp_means: rack.rrpp_mean_latencies(),
-        per_node_ops: rack.chips().iter().map(|c| c.completed_ops()).collect(),
-    }
+/// A faulted reference run must actually exercise the fault paths: work
+/// completes, packets are dropped, and the ITT watchdog fires.
+fn assert_fault_plan_bites(rack: &Rack) {
+    let stats = rack.stats();
+    let dropped = rack.fault_stats().packets_dropped.get();
+    let timeouts = stats.backend.itt_timeouts.get();
+    assert!(stats.completed > 0, "reference run must do work");
+    assert!(
+        dropped > 0 && timeouts > 0,
+        "the fault plan must actually bite: {dropped} dropped, {timeouts} timeouts"
+    );
 }
 
 /// Tentpole acceptance: the event-driven chip tick (activity sets + dormant
@@ -429,16 +333,22 @@ fn event_tick_is_bit_identical_to_poll_on_a_healthy_rack() {
     for _ in 0..cycles {
         reference.tick();
     }
-    let want = tick_fingerprint(&reference);
-    assert!(want.completed_ops > 0, "reference run must do real work");
-    assert!(want.hops > 0, "reference run must cross the fabric");
+    assert!(
+        reference.stats().completed > 0,
+        "reference run must do real work"
+    );
+    assert!(
+        reference.hops_traversed() > 0,
+        "reference run must cross the fabric"
+    );
+    let want = fingerprint(&reference);
 
     for mode in [TickMode::Poll, TickMode::Event] {
         for threads in [1usize, 4] {
             let mut rack = build(mode, threads);
             rack.run(cycles);
             assert_eq!(
-                tick_fingerprint(&rack),
+                fingerprint(&rack),
                 want,
                 "{mode:?} tick at {threads} threads diverged from the \
                  serial poll reference"
@@ -453,7 +363,6 @@ fn event_tick_is_bit_identical_to_poll_on_a_healthy_rack() {
 /// watchdog statistics, and per-node completions included.
 #[test]
 fn event_tick_is_bit_identical_to_poll_on_a_faulted_rack() {
-    use rackni::ni_fabric::FaultPlan;
     use rackni::ni_soc::TickMode;
 
     let build = |mode: TickMode, threads: usize| {
@@ -463,7 +372,7 @@ fn event_tick_is_bit_identical_to_poll_on_a_faulted_rack() {
         cfg.chip.rmc.itt_timeout = 1_200;
         cfg.chip.rmc.itt_retries = 1;
         cfg.threads = threads;
-        cfg.routing = rackni::ni_fabric::RoutingKind::FaultAdaptive;
+        cfg.routing = RoutingKind::FaultAdaptive;
         cfg.faults = FaultPlan::new()
             .link_down(0, 1, 400)
             .node_down(4, 900)
@@ -481,19 +390,15 @@ fn event_tick_is_bit_identical_to_poll_on_a_faulted_rack() {
     for _ in 0..cycles {
         reference.tick();
     }
-    let want = tick_fingerprint(&reference);
-    assert!(want.completed_ops > 0, "reference run must do work");
-    assert!(
-        want.dropped > 0 && want.timeouts > 0,
-        "the fault plan must actually bite: {want:?}"
-    );
+    assert_fault_plan_bites(&reference);
+    let want = fingerprint(&reference);
 
     for mode in [TickMode::Poll, TickMode::Event] {
         for threads in [1usize, 4] {
             let mut rack = build(mode, threads);
             rack.run(cycles);
             assert_eq!(
-                tick_fingerprint(&rack),
+                fingerprint(&rack),
                 want,
                 "{mode:?} tick at {threads} threads diverged from the \
                  serial poll reference on the faulted fabric"
@@ -505,8 +410,7 @@ fn event_tick_is_bit_identical_to_poll_on_a_faulted_rack() {
 mod tick_equivalence_props {
     use super::*;
     use proptest::prelude::*;
-    use rackni::ni_fabric::RoutingKind;
-    use rackni::ni_soc::{builtin_scenarios, Bursty, Scenario, Synthetic, TickMode};
+    use rackni::ni_soc::{builtin_scenarios, Bursty, Synthetic, TickMode};
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(12))]
@@ -515,8 +419,7 @@ mod tick_equivalence_props {
         /// every builtin scenario — plus a `Bursty` duty-cycled one, whose
         /// `IdleFor` windows are exactly what the dormant fast path and
         /// idle-until-X jumps elide — and every routing policy, a seeded
-        /// 2x2x2 rack produces identical fingerprints (traffic counters,
-        /// per-node completions, RRPP latency means) under the poll and
+        /// 2x2x2 rack produces identical fingerprints under the poll and
         /// event ticks.
         #[test]
         fn event_tick_preserves_deliveries_across_scenarios_and_policies(
@@ -549,7 +452,7 @@ mod tick_equivalence_props {
                 };
                 let mut rack = Rack::with_scenario(cfg, &*scenario);
                 rack.run(4_000);
-                tick_fingerprint(&rack)
+                fingerprint(&rack)
             };
             let poll = run(TickMode::Poll);
             let event = run(TickMode::Event);
@@ -612,6 +515,42 @@ impl Scenario for SelfAndNext {
     }
 }
 
+/// The two-sided serving mix on a 2x2x2 NIsplit rack: a closed-loop KV
+/// tenant (RPCs with RRPP service time) on three cores beside a bulk graph
+/// tenant on one.
+fn serving_rack(threads: usize) -> Rack {
+    let mut cfg = rack_cfg(Torus3D::new(2, 2, 2), 4, TrafficPattern::Uniform);
+    cfg.chip.placement = NiPlacement::Split;
+    cfg.chip.seed = 0x5e7;
+    cfg.threads = threads;
+    let kv = ClosedLoop::new(Box::new(KvStore::default().with_service(120)), 2, 40);
+    let mix = TenantMix::new()
+        .with_tenant(1, Box::new(kv), 3)
+        .with_tenant(2, Box::new(GraphShard::default()), 1);
+    Rack::with_scenario(cfg, &mix)
+}
+
+/// Async reads on a 3x3x1 rack through a seeded fault storm (kill/repair
+/// waves from cycle 2,000) with a tight ITT watchdog under fault-adaptive
+/// routing.
+fn storm_rack(threads: usize) -> Rack {
+    let torus = Torus3D::new(3, 3, 1);
+    let mut cfg = rack_cfg(torus, 2, TrafficPattern::Uniform);
+    cfg.chip.seed = 0x5707;
+    cfg.chip.rmc.itt_timeout = 600;
+    cfg.chip.rmc.itt_retries = 1;
+    cfg.routing = RoutingKind::FaultAdaptive;
+    cfg.faults = FaultPlan::fault_storm(torus, 9, 4, 2, 2_000, 120, 90);
+    cfg.threads = threads;
+    Rack::new(
+        cfg,
+        Workload::AsyncRead {
+            size: 256,
+            poll_every: 4,
+        },
+    )
+}
+
 /// Quantum boundaries: [`Rack::run`]`(n)` is exactly `n` calls of
 /// [`Rack::tick`] for run lengths around the lookahead `L` — `1, L-1, L,
 /// L+1, 2L+3`, each starting wherever the previous one ended (so quanta
@@ -623,40 +562,10 @@ impl Scenario for SelfAndNext {
 /// fingerprint must match after every call.
 #[test]
 fn run_is_exactly_repeated_tick_across_quantum_boundaries() {
-    use rackni::ni_fabric::{FaultPlan, RoutingKind};
-    use rackni::ni_rmc::NiPlacement;
-    use rackni::ni_soc::{ClosedLoop, GraphShard, KvStore, TenantMix};
-
     type Build = fn(usize) -> Rack;
-    let serving: Build = |threads| {
-        let mut cfg = rack_cfg(Torus3D::new(2, 2, 2), 4, TrafficPattern::Uniform);
-        cfg.chip.placement = NiPlacement::Split;
-        cfg.chip.seed = 0x5e7;
-        cfg.threads = threads;
-        let kv = ClosedLoop::new(Box::new(KvStore::default().with_service(120)), 2, 40);
-        let mix = TenantMix::new()
-            .with_tenant(1, Box::new(kv), 3)
-            .with_tenant(2, Box::new(GraphShard::default()), 1);
-        Rack::with_scenario(cfg, &mix)
-    };
-    let storm: Build = |threads| {
-        let torus = Torus3D::new(3, 3, 1);
-        let mut cfg = rack_cfg(torus, 2, TrafficPattern::Uniform);
-        cfg.chip.seed = 0x5707;
-        cfg.chip.rmc.itt_timeout = 600;
-        cfg.chip.rmc.itt_retries = 1;
-        cfg.routing = RoutingKind::FaultAdaptive;
-        // Kill/repair waves straddling the checked calls after warm-up.
-        cfg.faults = FaultPlan::fault_storm(torus, 9, 4, 2, 2_000, 120, 90);
-        cfg.threads = threads;
-        Rack::new(
-            cfg,
-            Workload::AsyncRead {
-                size: 256,
-                poll_every: 4,
-            },
-        )
-    };
+    // The storm's kill/repair waves straddle the checked calls after
+    // warm-up.
+    let (serving, storm): (Build, Build) = (serving_rack, storm_rack);
     let single: Build = |threads| {
         let mut cfg = rack_cfg(Torus3D::new(1, 1, 1), 2, TrafficPattern::Neighbor);
         cfg.threads = threads;
@@ -703,18 +612,75 @@ fn run_is_exactly_repeated_tick_across_quantum_boundaries() {
                 }
                 assert_eq!(rack.now(), reference.now());
                 assert_eq!(
-                    tick_fingerprint(&rack),
-                    tick_fingerprint(&reference),
+                    fingerprint(&rack),
+                    fingerprint(&reference),
                     "{name} at {threads} threads: {call}({n}) ending at {:?} \
                      diverged from per-cycle ticking",
                     rack.now()
                 );
             }
-            let fp = tick_fingerprint(&reference);
-            assert!(fp.completed_ops > 0, "{name}: the reference must do work");
+            let completed = reference.stats().completed;
+            assert!(completed > 0, "{name}: the reference must do work");
             if name == "fault-storm" {
-                assert!(fp.dropped > 0, "{name}: the storm must bite: {fp:?}");
+                let dropped = reference.fault_stats().packets_dropped.get();
+                assert!(dropped > 0, "{name}: the storm must bite");
             }
         }
     }
+}
+
+/// `Rack::stats` is the node-order fold of the chip snapshots, and the
+/// snapshot is internally consistent: per-tenant rows sum to the totals,
+/// and `failed_reads <= failed <= completed <= issued`, `degraded <=
+/// completed` hold on every node and rack-wide — on the serving mix and
+/// on a fault storm where the watchdog fails and replays operations.
+#[test]
+fn rack_stats_fold_chip_snapshots_consistently() {
+    for (name, mut rack) in [("serving", serving_rack(1)), ("fault-storm", storm_rack(1))] {
+        rack.run(6_000);
+        let total = rack.stats();
+        let mut folded = NodeStats::new();
+        for chip in rack.chips() {
+            let node = chip.stats();
+            assert_ordered(name, &node);
+            folded.merge(&node);
+        }
+        assert_eq!(total, folded, "{name}: Rack::stats is not the chip fold");
+        assert_ordered(name, &total);
+        assert!(total.completed > 0, "{name}: the run must do work");
+        let tenant_sum = |f: fn(&rackni::ni_metrics::TenantAccum) -> u64| -> u64 {
+            total.tenants.values().map(f).sum()
+        };
+        assert_eq!(tenant_sum(|t| t.issued), total.issued, "{name}: issued");
+        assert_eq!(tenant_sum(|t| t.completed), total.completed, "{name}");
+        assert_eq!(tenant_sum(|t| t.failed), total.failed, "{name}: failed");
+        assert_eq!(tenant_sum(|t| t.degraded), total.degraded, "{name}");
+        assert_eq!(tenant_sum(|t| t.bytes), total.bytes_completed, "{name}");
+        if name == "fault-storm" {
+            assert!(
+                total.backend.itt_timeouts.get() > 0 && total.failed > 0,
+                "{name}: the storm must trip the watchdog and fail ops"
+            );
+        } else {
+            assert!(total.tenants.len() >= 2, "{name}: both tenants report");
+        }
+    }
+}
+
+/// The ordering relations every [`NodeStats`] must satisfy.
+fn assert_ordered(name: &str, s: &NodeStats) {
+    assert!(
+        s.failed_reads <= s.failed && s.failed <= s.completed && s.completed <= s.issued,
+        "{name}: failed_reads {} <= failed {} <= completed {} <= issued {} violated",
+        s.failed_reads,
+        s.failed,
+        s.completed,
+        s.issued
+    );
+    assert!(
+        s.degraded <= s.completed,
+        "{name}: degraded {} > completed {}",
+        s.degraded,
+        s.completed
+    );
 }

@@ -71,14 +71,15 @@ fn rrpps_absorb_mirrored_incoming_writes() {
         },
     );
     chip.run(30_000);
-    assert!(chip.completed_ops() > 0);
+    let stats = chip.stats();
+    assert!(stats.completed > 0);
     // Mirrored traffic means incoming write requests hit the local RRPPs.
     assert_eq!(
         chip.fabric_stats().sent.get(),
         chip.fabric_stats().incoming_generated.get()
     );
-    assert!(chip.rrpp_mean_latency() > 0.0);
-    assert!(chip.app_payload_bytes() > 0);
+    assert!(stats.rrpp_latency.mean() > 0.0);
+    assert!(stats.app_payload_bytes > 0);
 }
 
 #[test]

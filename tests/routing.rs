@@ -47,8 +47,9 @@ fn dimension_order_matches_the_pre_refactor_fingerprint() {
     assert_eq!(fs.responded.get(), 2_916, "responses delivered");
     assert_eq!(fs.incoming_generated.get(), 3_558, "requests delivered");
     assert_eq!(rack.hops_traversed(), 11_541, "link traversals");
-    assert_eq!(rack.completed_ops(), 504, "completed ops");
-    assert_eq!(rack.app_payload_bytes(), 393_792, "payload bytes");
+    let stats = rack.stats();
+    assert_eq!(stats.completed, 504, "completed ops");
+    assert_eq!(stats.app_payload_bytes, 393_792, "payload bytes");
     let links = rack.link_report();
     assert_eq!(links.iter().map(|l| l.bytes).sum::<u64>(), 702_048);
     assert_eq!(links.iter().map(|l| l.busy_cycles).sum::<u64>(), 43_878);
@@ -85,7 +86,7 @@ fn adaptive_routing_changes_paths_but_not_outcomes() {
         let mut rack = Rack::with_scenario(cfg, &capped);
         let expected = 9 * 2 * 6;
         let mut guard = 0;
-        while rack.completed_ops() < expected {
+        while rack.stats().completed < expected {
             rack.run(200);
             guard += 1;
             assert!(guard < 500, "{routing:?} job never completed");
@@ -95,8 +96,9 @@ fn adaptive_routing_changes_paths_but_not_outcomes() {
     };
     let dor = run(RoutingKind::DimensionOrder);
     let ada = run(RoutingKind::MinimalAdaptive);
-    assert_eq!(ada.completed_ops(), dor.completed_ops());
-    assert_eq!(ada.app_payload_bytes(), dor.app_payload_bytes());
+    let (ada_stats, dor_stats) = (ada.stats(), dor.stats());
+    assert_eq!(ada_stats.completed, dor_stats.completed);
+    assert_eq!(ada_stats.app_payload_bytes, dor_stats.app_payload_bytes);
     assert_eq!(ada.fabric_stats().sent.get(), dor.fabric_stats().sent.get());
     assert_eq!(
         ada.hops_traversed(),
@@ -158,7 +160,7 @@ fn random_minimal_rack_reproduces_from_its_seed() {
         let mut rack = canonical_rack(RoutingKind::RandomMinimal { seed });
         rack.run(1_200);
         (
-            rack.completed_ops(),
+            rack.stats(),
             rack.hops_traversed(),
             rack.link_report()
                 .iter()
@@ -193,15 +195,16 @@ fn capped_jobs_complete_exactly_and_record_async_read_tails() {
     let mut rack = Rack::with_scenario(cfg, &capped);
     let expected = 4 * 2 * 5;
     let mut guard = 0;
-    while rack.completed_ops() < expected {
+    while rack.stats().completed < expected {
         rack.run(200);
         guard += 1;
         assert!(guard < 500, "capped job never completed");
     }
     // Run on: no further ops may appear past the cap.
     rack.run(2_000);
-    assert_eq!(rack.completed_ops(), expected, "cap must be exact");
-    let hist = rack.read_latency_histogram();
+    let stats = rack.stats();
+    assert_eq!(stats.completed, expected, "cap must be exact");
+    let hist = &stats.read_latency;
     assert_eq!(
         hist.stats().count(),
         expected,

@@ -3,7 +3,6 @@
 //! 8-node torus rack), seed-determinism of op streams and whole-rack runs,
 //! and the hotspot skew the uniform `TrafficPattern` enum could not express.
 
-use rackni::experiments::link_byte_skew;
 use rackni::ni_fabric::Torus3D;
 use rackni::ni_soc::{
     builtin_scenarios, run_chip_scenario, ChipConfig, Op, OpCtx, Rack, RackSimConfig, Scenario,
@@ -50,11 +49,11 @@ fn every_builtin_scenario_completes_on_an_eight_node_rack() {
     for s in builtin_scenarios() {
         let mut rack = Rack::with_scenario(rack_cfg(7, 2), s.as_ref());
         rack.run(20_000);
+        let completed = rack.stats().completed;
         assert!(
-            rack.completed_ops() > 10,
-            "{}: only {} ops rack-wide",
-            rack.scenario_name(),
-            rack.completed_ops()
+            completed > 10,
+            "{}: only {completed} ops rack-wide",
+            rack.scenario_name()
         );
         assert!(
             rack.hops_traversed() > 0,
@@ -104,19 +103,11 @@ fn rack_runs_reproduce_identical_fabric_stats_per_scenario() {
         let run = || {
             let mut rack = Rack::with_scenario(rack_cfg(1234, 2), s.as_ref());
             rack.run(10_000);
-            let fs = rack.fabric_stats();
-            (
-                fs.sent.get(),
-                fs.responded.get(),
-                fs.incoming_generated.get(),
-                rack.hops_traversed(),
-                rack.completed_ops(),
-                rack.app_payload_bytes(),
-            )
+            (rack.fabric_stats(), rack.hops_traversed(), rack.stats())
         };
         let (a, b) = (run(), run());
+        assert!(a.0.sent.get() > 0, "{}: no requests sent", s.name());
         assert_eq!(a, b, "{}: two same-seed runs diverged", s.name());
-        assert!(a.0 > 0, "{}: no requests sent", s.name());
     }
 }
 
@@ -149,8 +140,8 @@ fn zipf_hotspot_skews_per_link_load_beyond_uniform() {
     let mut hot = Rack::with_scenario(rack_cfg(42, 4), &ZipfHotspot::default());
     hot.run(cycles);
 
-    let u_skew = link_byte_skew(&uniform);
-    let h_skew = link_byte_skew(&hot);
+    let u_skew = uniform.link_byte_skew();
+    let h_skew = hot.link_byte_skew();
     assert!(
         h_skew > u_skew * 1.2,
         "zipf link skew {h_skew:.2}x must clearly exceed uniform {u_skew:.2}x"
@@ -173,7 +164,7 @@ fn zipf_hotspot_skews_per_link_load_beyond_uniform() {
 fn zipf_hotspot_queues_the_hot_nodes_rrpps() {
     let mut hot = Rack::with_scenario(rack_cfg(5, 4), &ZipfHotspot::default());
     hot.run(20_000);
-    let lats = hot.rrpp_mean_latencies();
+    let lats: Vec<f64> = hot.chips().iter().map(|c| c.rrpp_mean_latency()).collect();
     assert!(lats[0] > 0.0, "hot node serviced nothing: {lats:?}");
     let others: Vec<f64> = lats[1..].iter().copied().filter(|&l| l > 0.0).collect();
     assert!(!others.is_empty());
@@ -264,7 +255,7 @@ fn reset_scenario_keeps_reaping_across_the_reset() {
 
 /// `Core::set_target` (the pre-scenario retargeting API) must steer a
 /// `Workload`-constructed rack's traffic, exactly as the old
-/// `Chip::with_fabric` + `set_target` wiring did.
+/// pre-scenario `set_target` wiring did.
 #[test]
 fn set_target_steers_workload_rack_traffic() {
     let torus = Torus3D::new(2, 2, 2);
@@ -290,12 +281,12 @@ fn set_target_steers_workload_rack_traffic() {
     assert_eq!(rack.chips()[0].cores[0].target(), 4);
     rack.run(15_000);
     assert_eq!(
-        rack.chips()[1].rrpp_mean_latency(),
-        0.0,
+        rack.chips()[1].stats().rrpp_latency.count(),
+        0,
         "node 1 must receive nothing after the retarget"
     );
     assert!(
-        rack.chips()[4].app_payload_bytes() > 0,
+        rack.chips()[4].stats().app_payload_bytes > 0,
         "node 4 must service the retargeted stream"
     );
 }
