@@ -540,14 +540,6 @@ pub struct RackScalePoint {
     pub mean_hops: f64,
     /// Cycles simulated.
     pub cycles: u64,
-    /// Wall-clock milliseconds `Rack::run` took for this point (excluding
-    /// rack construction).
-    pub wall_ms: f64,
-    /// Simulated cycles per wall-clock second — the simulator-throughput
-    /// number the perf trajectory tracks.
-    pub cycles_per_sec: f64,
-    /// Compute-phase worker threads the run used.
-    pub threads: usize,
 }
 
 fn rack_dims(scale: Scale) -> Vec<(u16, u16, u16)> {
@@ -572,21 +564,18 @@ fn rack_point_cycles(scale: Scale, dims: (u16, u16, u16)) -> u64 {
     }
 }
 
-/// The sweep's canonical rack for one dims point, run for `cycles`. Both
-/// the summary rows and the per-link detail table come through here, so
-/// they always describe the same experiment.
+/// Build (without running) the sweep's canonical rack for one dims point:
+/// NIedge chips, four requesting cores per node, 512B async reads. This is
+/// the single source of truth for the rack-throughput baseline — the
+/// `rack_scale` sweep, its render, and the `simperf` bench's
+/// uniform-async points (the `BENCH_simperf.json` trajectory) all
+/// construct their racks here, so they always measure the same experiment.
+/// `threads` is the compute-phase worker count (0 = auto, 1 = serial).
 ///
 /// Chips use the paper's NIedge placement: it is the design the paper
 /// scales to the full rack, and its edge-resident frontends make a 512-node
 /// fully simulated sweep tractable (per-tile frontends cost ~4x the
 /// per-chip tick time for identical fabric behavior).
-/// Build (without running) the sweep's canonical rack for one dims point:
-/// NIedge chips, four requesting cores per node, 512B async reads. This is
-/// the single source of truth for the rack-throughput baseline — the
-/// `rack_scale` sweep, its render, and the `rack_bench` example (the
-/// `BENCH_rack.json` trajectory) all construct their racks here, so they
-/// always measure the same experiment. `threads` is the compute-phase
-/// worker count (0 = auto, 1 = serial).
 pub fn build_rack_point(dims: (u16, u16, u16), traffic: TrafficPattern, threads: usize) -> Rack {
     let cfg = RackSimConfig {
         torus: Torus3D::new(dims.0, dims.1, dims.2),
@@ -665,6 +654,9 @@ pub fn build_idle_rack_point(dims: (u16, u16, u16), threads: usize, tick_mode: T
     Rack::with_scenario(cfg, &scenario)
 }
 
+/// The sweep's canonical rack for one dims point, run for `cycles`. Both
+/// the summary rows and the per-link detail table come through here, so
+/// they always describe the same experiment.
 fn run_rack_point(dims: (u16, u16, u16), traffic: TrafficPattern, cycles: u64) -> Rack {
     let mut rack = build_rack_point(dims, traffic, 0);
     rack.run(cycles);
@@ -676,13 +668,7 @@ fn measure_rack_point(
     traffic: TrafficPattern,
     cycles: u64,
 ) -> RackScalePoint {
-    let torus = Torus3D::new(dims.0, dims.1, dims.2);
-    let mut rack = build_rack_point(dims, traffic, 0);
-    // Time only the run: cycles/sec is the simulator-throughput trajectory
-    // number and must not drift with construction cost.
-    let started = crate::report::Stopwatch::start();
-    rack.run(cycles);
-    let wall_secs = started.secs();
+    let rack = run_rack_point(dims, traffic, cycles);
     let freq = Frequency::GHZ2;
     let fs = rack.fabric_stats();
     let stats = rack.stats();
@@ -691,7 +677,7 @@ fn measure_rack_point(
     let packets = fs.incoming_generated.get() + fs.responded.get();
     RackScalePoint {
         dims,
-        nodes: torus.nodes(),
+        nodes: Torus3D::new(dims.0, dims.1, dims.2).nodes(),
         completed_ops: stats.completed,
         agg_ni_gbps: freq.gbps_from_bytes_per_cycle(stats.app_payload_bytes as f64 / cycles as f64),
         peak_link_gbps: rack.peak_link_gbps(),
@@ -702,9 +688,6 @@ fn measure_rack_point(
             rack.hops_traversed() as f64 / packets as f64
         },
         cycles,
-        wall_ms: wall_secs * 1e3,
-        cycles_per_sec: cycles as f64 / wall_secs,
-        threads: rack.worker_count(),
     }
 }
 
@@ -714,10 +697,10 @@ fn measure_rack_point(
 /// experiment the paper's single-node methodology (§5) cannot express —
 /// cross-node flows, per-link load, and scaling with rack size.
 ///
-/// Points run *sequentially* (each rack parallelizes internally across the
-/// compute-phase worker threads), so the per-point wall-clock and
-/// cycles/sec numbers are honest single-experiment measurements rather
-/// than contended co-runs.
+/// Points run *sequentially*; each rack parallelizes internally across the
+/// compute-phase worker threads, which leaves every row unchanged
+/// (determinism at any thread count). The sweep reports simulated
+/// quantities only — simulator speed is the `simperf` bench's job.
 pub fn rack_scale(scale: Scale, traffic: TrafficPattern) -> Vec<RackScalePoint> {
     rack_dims(scale)
         .into_iter()
@@ -738,8 +721,6 @@ pub fn rack_scale_render(scale: Scale) -> String {
         "peak link (GBps)",
         "hops",
         "mean hops/pkt",
-        "sim cycles/s",
-        "threads",
     ]);
     for p in &pts {
         t.row_owned(vec![
@@ -750,8 +731,6 @@ pub fn rack_scale_render(scale: Scale) -> String {
             f1(p.peak_link_gbps),
             p.hops.to_string(),
             f1(p.mean_hops),
-            f1(p.cycles_per_sec),
-            p.threads.to_string(),
         ]);
     }
     let mut out = t.render();

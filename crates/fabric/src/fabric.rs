@@ -52,9 +52,10 @@ pub trait Fabric {
     /// Advance internal transport state to `now`. The driving loop calls
     /// this exactly once per cycle per fabric instance (a chip ticks the
     /// fabric it owns; a rack driver ticks the shared transport itself and
-    /// hands each chip a buffered [`FabricPort`](crate::FabricPort) whose
-    /// `tick` only notes the chip's clock).
-    fn tick(&mut self, now: Cycle);
+    /// hands each chip a buffered [`FabricPort`](crate::FabricPort), which
+    /// keeps this default no-op). Only a transport with its own clock —
+    /// [`TorusFabric`](crate::TorusFabric) — overrides it.
+    fn tick(&mut self, _now: Cycle) {}
 
     /// Next response due at `node` by `now`, if any.
     fn pop_response(&mut self, now: Cycle, node: u16) -> Option<RemoteResp>;
@@ -62,9 +63,11 @@ pub trait Fabric {
     /// Next incoming remote request due at `node` by `now`, if any.
     fn pop_incoming(&mut self, now: Cycle, node: u16) -> Option<RemoteReq>;
 
-    /// Node `node` measured one local RRPP service latency (feeds the
-    /// emulator's symmetric-rack estimate; real transports ignore it).
-    fn record_rrpp_latency(&mut self, node: u16, cycles: u64);
+    /// Node `node` measured one local RRPP service latency. Only the
+    /// [`RackEmulator`] overrides this, to refine its symmetric-rack
+    /// estimate; a real transport simulates its remote ends in detail and
+    /// keeps the default no-op.
+    fn record_rrpp_latency(&mut self, _node: u16, _cycles: u64) {}
 
     /// Aggregate traffic counters.
     fn stats(&self) -> FabricStats;
@@ -96,8 +99,6 @@ impl Fabric for RackEmulator {
         // The emulated remote requester does not consume responses; RRPP
         // stats already account the bandwidth (§6.2's methodology).
     }
-
-    fn tick(&mut self, _now: Cycle) {}
 
     fn pop_response(&mut self, now: Cycle, _node: u16) -> Option<RemoteResp> {
         RackEmulator::pop_response(self, now)

@@ -64,16 +64,13 @@ const EMPTY: u64 = u64::MAX;
 
 /// One buffered event emitted by a chip during the compute phase, replayed
 /// into the real fabric during the exchange phase. A single FIFO preserves
-/// the chip's exact emission order across requests, responses, and latency
-/// samples.
+/// the chip's exact emission order across requests and responses.
 #[derive(Clone, Copy, Debug)]
 enum PortEvent {
     /// An outgoing request ([`Fabric::inject`]).
     Req(RemoteReq),
     /// An outgoing response ([`Fabric::inject_resp`]).
     Resp(RemoteResp),
-    /// A measured RRPP service latency ([`Fabric::record_rrpp_latency`]).
-    RrppLatency(u64),
 }
 
 /// Arrivals of one kind, each stamped with the cycle it becomes visible at
@@ -160,9 +157,6 @@ struct PortShared {
     outbox_next: AtomicU64,
     /// Stamp of the earliest undrained arrival.
     inbox_next: AtomicU64,
-    /// The chip cycle last passed to [`Fabric::tick`]: the stamp of RRPP
-    /// latency samples, whose call carries no cycle.
-    chip_now: AtomicU64,
 }
 
 /// A per-node buffered endpoint of a lock-step rack: the chip side injects
@@ -195,7 +189,6 @@ impl FabricPort {
                 }),
                 outbox_next: AtomicU64::new(EMPTY),
                 inbox_next: AtomicU64::new(EMPTY),
-                chip_now: AtomicU64::new(0),
             }),
         }
     }
@@ -246,7 +239,6 @@ impl FabricPort {
             match ev {
                 PortEvent::Req(req) => fabric.inject(now, self.node, req),
                 PortEvent::Resp(resp) => fabric.inject_resp(now, self.node, resp),
-                PortEvent::RrppLatency(cycles) => fabric.record_rrpp_latency(self.node, cycles),
             }
         }
         let next = s.outbox.front().map_or(EMPTY, |e| e.0 .0);
@@ -363,12 +355,6 @@ impl Fabric for FabricPort {
         self.shared.outbox_next.fetch_min(now.0, Ordering::AcqRel);
     }
 
-    fn tick(&mut self, now: Cycle) {
-        // Transport time passes in the shared fabric during the exchange
-        // phase; the port only learns the chip's clock.
-        self.shared.chip_now.store(now.0, Ordering::Relaxed);
-    }
-
     fn pop_response(&mut self, now: Cycle, node: u16) -> Option<RemoteResp> {
         debug_assert_eq!(node, self.node, "port used by a foreign node");
         if self.shared.inbox_next.load(Ordering::Acquire) > now.0 {
@@ -397,15 +383,6 @@ impl Fabric for FabricPort {
         s.stats.incoming_generated.incr();
         self.publish_inbox(&s);
         Some(r)
-    }
-
-    fn record_rrpp_latency(&mut self, node: u16, cycles: u64) {
-        debug_assert_eq!(node, self.node, "port used by a foreign node");
-        let now = self.shared.chip_now.load(Ordering::Relaxed);
-        let mut s = self.lock();
-        s.outbox
-            .push_back((Cycle(now), PortEvent::RrppLatency(cycles)));
-        self.shared.outbox_next.fetch_min(now, Ordering::AcqRel);
     }
 
     fn stats(&self) -> FabricStats {
@@ -556,7 +533,6 @@ mod tests {
         }
         fabric.open_quantum(Cycle(40), &ports);
         let mut chip_side = ports[0].clone();
-        chip_side.tick(Cycle(10));
         chip_side.inject(Cycle(10), 0, req(4, 0));
         assert!(chip_side.pop_incoming(Cycle(11), 0).is_none());
         assert_eq!(chip_side.next_event(Cycle(11)), None, "nothing looped back");
@@ -583,6 +559,17 @@ mod tests {
         }
         assert_eq!(fabric.fault_stats().packets_dropped.get(), 1);
         assert_eq!(fabric.stats().incoming_generated.get(), 0);
+    }
+
+    #[test]
+    fn rrpp_latency_samples_never_reach_the_outbox() {
+        // Only the single-node emulator consumes latency samples; a rack
+        // port keeps the default no-op, so a sample costs no lock, no
+        // outbox entry and no replay.
+        let mut port = FabricPort::new(2);
+        port.record_rrpp_latency(2, 350);
+        assert!(!port.outbox_pending());
+        assert!(port.is_idle());
     }
 
     #[test]

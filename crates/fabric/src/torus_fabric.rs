@@ -722,10 +722,6 @@ impl Fabric for TorusFabric {
         r
     }
 
-    fn record_rrpp_latency(&mut self, _node: u16, _cycles: u64) {
-        // Real remote ends are simulated in detail; no estimate to refine.
-    }
-
     fn stats(&self) -> FabricStats {
         self.stats
     }

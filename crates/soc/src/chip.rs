@@ -72,12 +72,6 @@ impl NocImpl {
             NocImpl::NocOut(n) => n,
         }
     }
-    fn stats(&self) -> &NocStats {
-        match self {
-            NocImpl::Mesh(m) => m.stats(),
-            NocImpl::NocOut(n) => n.stats(),
-        }
-    }
 }
 
 /// A dense `NocNode → component index` map over one chip's endpoints,
@@ -570,7 +564,7 @@ impl Chip {
 
     /// Interconnect statistics.
     pub fn noc_stats(&self) -> &NocStats {
-        self.noc.stats()
+        self.noc.as_ref_dyn().stats()
     }
 
     /// Application payload bytes moved so far: remote-read data delivered
@@ -696,29 +690,6 @@ impl Chip {
                 .merge(c.degraded_read_latency_histogram());
         }
         s
-    }
-
-    /// True when ticking this chip cannot change any observable state: all
-    /// cores are permanently idle ([`Core::is_quiescent`]), every pipeline
-    /// (frontends, backends, RRPPs, caches, directories, memory) is
-    /// drained, and nothing is in flight on the NOC or the internal
-    /// latches. A quiescent chip's only residual activity would be the NI
-    /// frontends' self-absorbing WQ poll loop, which can produce no
-    /// operations, no fabric traffic, and no completions — so the rack
-    /// driver's fast path skips such chips wholesale (provided their fabric
-    /// endpoint is also idle).
-    pub fn is_quiescent(&self) -> bool {
-        self.backlog_len == 0
-            && self.latch.is_empty()
-            && self.cores.iter().all(Core::is_quiescent)
-            && self.mc_pending.is_empty()
-            && self.noc.as_ref_dyn().is_idle()
-            && self.frontends.iter().all(NiFrontend::is_quiescent)
-            && self.backends.iter().all(NiBackend::is_quiescent)
-            && self.rrpps.iter().all(Rrpp::is_quiescent)
-            && self.complexes.iter().all(CacheComplex::is_quiescent)
-            && self.dirs.iter().all(DirectoryBank::is_quiescent)
-            && self.mcs.iter().all(|m| m.inflight() == 0)
     }
 
     /// Advance the node by one cycle.
@@ -887,10 +858,11 @@ impl Chip {
         self.activity = self.activity.wrapping_add(1);
     }
 
-    /// Memoized non-core half of [`Chip::is_quiescent`], keyed on the
-    /// activity stamp: in the steady quiesced state the full pipeline scan
-    /// runs once and each later cycle pays two loads. Any tick or external
-    /// entry point bumps the stamp and forces a recompute.
+    /// Memoized `pipelines_quiescent` (the non-core half of the quiesced
+    /// fast path), keyed on the activity stamp: in the steady quiesced
+    /// state the full pipeline scan runs once and each later cycle pays two
+    /// loads. Any tick or external entry point bumps the stamp and forces a
+    /// recompute.
     fn pipelines_quiescent_cached(&mut self) -> bool {
         if self.pipelines_memo.0 == self.activity {
             return self.pipelines_memo.1;

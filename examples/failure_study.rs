@@ -17,7 +17,7 @@
 //!
 //! The assertions below are the acceptance criteria CI enforces; the cell
 //! table lands in `BENCH_failure.json` (schema `rackni-bench-failure/1`)
-//! next to `BENCH_rack.json`.
+//! next to the other `BENCH_*.json` records at the workspace root.
 //!
 //! ```sh
 //! cargo run --release --example failure_study                 # quick (CI)
