@@ -33,11 +33,14 @@ pub enum Scale {
 
 impl Scale {
     /// Read `RACKNI_SCALE=full|quick` from the environment (default quick).
+    ///
+    /// # Panics
+    ///
+    /// On any other value, so a typo cannot quietly measure the wrong scale.
     pub fn from_env() -> Scale {
-        match std::env::var("RACKNI_SCALE").as_deref() {
-            Ok("full") => Scale::Full,
-            _ => Scale::Quick,
-        }
+        let var = std::env::var_os("RACKNI_SCALE");
+        let value = var.as_ref().map(|v| v.to_string_lossy());
+        parse_scale(value.as_deref()).unwrap_or_else(|msg| panic!("{msg}"))
     }
 
     /// Lower-case name, as `RACKNI_SCALE` spells it.
@@ -75,6 +78,17 @@ impl Scale {
             Scale::Quick => 15_000,
             Scale::Full => 60_000,
         }
+    }
+}
+
+/// `RACKNI_SCALE`'s value (`None` when unset) as a [`Scale`].
+fn parse_scale(value: Option<&str>) -> Result<Scale, String> {
+    match value {
+        None | Some("quick") => Ok(Scale::Quick),
+        Some("full") => Ok(Scale::Full),
+        Some(other) => Err(format!(
+            "RACKNI_SCALE={other:?} is not a scale; valid values: quick (the default when unset), full"
+        )),
     }
 }
 
@@ -1018,11 +1032,16 @@ fn run_capped_job(
     }
 }
 
-/// The routing-policy grid at arbitrary torus dimensions:
-/// `{uniform, opposite, zipf}` x [`RoutingKind::ALL`], each cell a capped
-/// job run to completion. Exposed separately from [`routing_sweep`] so
-/// tests can use small racks.
-pub fn routing_sweep_at(scale: Scale, dims: (u16, u16, u16)) -> Vec<RoutingPoint> {
+/// The paper-facing routing sweep (ROADMAP's "adaptive routing under
+/// congestion"): dimension-order vs minimal-adaptive vs random-minimal
+/// torus routing on a 4x4x4 64-node rack, across balanced, antipodal, and
+/// Zipf-skewed traffic — `{uniform, opposite, zipf}` x
+/// [`RoutingKind::ALL`], each cell a capped job run to completion. Reports
+/// job completion time, the remote-read tail, and per-link byte skew — the
+/// axis where congestion-aware routing should buy tail latency and balance
+/// without costing the deterministic baseline anything at zero load.
+pub fn routing_sweep(scale: Scale) -> Vec<RoutingPoint> {
+    let dims = (4, 4, 4);
     let ops = routing_ops_per_core(scale);
     let horizon = scale.rack_cycles() * 4;
     let grid: Vec<(&'static str, ScenarioFactory, RoutingKind)> = routing_scenarios()
@@ -1032,17 +1051,6 @@ pub fn routing_sweep_at(scale: Scale, dims: (u16, u16, u16)) -> Vec<RoutingPoint
     par_map(grid, move |(label, make, routing)| {
         run_routing_point(dims, label, make(), routing, ops, horizon)
     })
-}
-
-/// The paper-facing routing sweep (ROADMAP's "adaptive routing under
-/// congestion"): dimension-order vs minimal-adaptive vs random-minimal
-/// torus routing on a 4x4x4 64-node rack, across balanced, antipodal, and
-/// Zipf-skewed traffic. Reports job completion time, the remote-read tail,
-/// and per-link byte skew — the axis where congestion-aware routing should
-/// buy tail latency and balance without costing the deterministic
-/// baseline anything at zero load.
-pub fn routing_sweep(scale: Scale) -> Vec<RoutingPoint> {
-    routing_sweep_at(scale, (4, 4, 4))
 }
 
 /// Render a routing-sweep grid, grouped by scenario, with the
@@ -1305,12 +1313,16 @@ pub fn run_failure_point(
     }
 }
 
-/// The failure grid at arbitrary torus dimensions:
+/// The paper-facing failure sweep (ROADMAP's "failure injection"): kill a
+/// link or a node of a 4x4x4 64-node rack mid-run and measure the blast
+/// radius — job completion, failed-op count, the surviving reads' tail,
+/// and link skew — under health-blind dimension-order routing versus
+/// [`FaultAdaptive`](ni_fabric::FaultAdaptive). The grid is
 /// `{uniform, zipf}` × `{none, link-kill, node-kill}` ×
 /// `{dor, fault-adaptive}`, each cell a capped job run to completion (or
-/// the horizon). Exposed separately from [`failure_sweep`] so tests can
-/// use small racks.
-pub fn failure_sweep_at(scale: Scale, dims: (u16, u16, u16)) -> Vec<FailurePoint> {
+/// the horizon); `cargo bench --bench paper_tables -- failure` gates on it.
+pub fn failure_sweep(scale: Scale) -> Vec<FailurePoint> {
+    let dims = (4, 4, 4);
     let params = FailureParams::at(scale);
     let routings = [RoutingKind::DimensionOrder, RoutingKind::FaultAdaptive];
     let grid: Vec<(&'static str, ScenarioFactory, FaultCase, RoutingKind)> = failure_scenarios()
@@ -1324,16 +1336,6 @@ pub fn failure_sweep_at(scale: Scale, dims: (u16, u16, u16)) -> Vec<FailurePoint
     par_map(grid, move |(label, make, fault, routing)| {
         run_failure_point(dims, label, make(), routing, fault, params)
     })
-}
-
-/// The paper-facing failure sweep (ROADMAP's "failure injection"): kill a
-/// link or a node of a 4x4x4 64-node rack mid-run and measure the blast
-/// radius — job completion, failed-op count, the surviving reads' tail,
-/// and link skew — under health-blind dimension-order routing versus
-/// [`FaultAdaptive`](ni_fabric::FaultAdaptive). The claims the CI-run
-/// `examples/failure_study.rs` asserts come from exactly this grid.
-pub fn failure_sweep(scale: Scale) -> Vec<FailurePoint> {
-    failure_sweep_at(scale, (4, 4, 4))
 }
 
 /// Render the failure sweep grouped by scenario and fault.
@@ -1616,11 +1618,16 @@ pub fn run_availability_point(
     }
 }
 
-/// The availability grid at arbitrary torus dimensions:
+/// The paper-facing availability study (ROADMAP's "transparent recovery"):
+/// on a 4×4×4 64-node rack, sweep replication degree and write quorum
+/// against mid-run node kills and fault storms, and report requests lost,
+/// degraded-mode throughput, replay counts, and recovery time. The grid is
 /// `{reads, writes}` × `{(k,w)}` × `{none, node-kill, storm}`, every cell
-/// under fault-adaptive routing with replay armed. Exposed separately from
-/// [`availability_sweep`] so tests can use small racks.
-pub fn availability_sweep_at(scale: Scale, dims: (u16, u16, u16)) -> Vec<AvailabilityPoint> {
+/// under fault-adaptive routing with replay armed. The claims
+/// `cargo bench --bench paper_tables -- availability` gates on — above all
+/// "a node kill at `k >= 2` loses zero reads" — come from exactly this grid.
+pub fn availability_sweep(scale: Scale) -> Vec<AvailabilityPoint> {
+    let dims = (4, 4, 4);
     let params = FailureParams::at(scale);
     let grid: Vec<(&'static str, ScenarioFactory, (u8, u8), AvailFault)> = availability_scenarios()
         .into_iter()
@@ -1635,16 +1642,6 @@ pub fn availability_sweep_at(scale: Scale, dims: (u16, u16, u16)) -> Vec<Availab
     par_map(grid, move |(label, make, (k, w), fault)| {
         run_availability_point(dims, label, make(), fault, k, w, params)
     })
-}
-
-/// The paper-facing availability study (ROADMAP's "transparent recovery"):
-/// on a 4×4×4 64-node rack, sweep replication degree and write quorum
-/// against mid-run node kills and fault storms, and report requests lost,
-/// degraded-mode throughput, replay counts, and recovery time. The claims
-/// the CI-run `examples/availability_study.rs` asserts — above all "a node
-/// kill at `k >= 2` loses zero reads" — come from exactly this grid.
-pub fn availability_sweep(scale: Scale) -> Vec<AvailabilityPoint> {
-    availability_sweep_at(scale, (4, 4, 4))
 }
 
 /// Render the availability sweep grouped by scenario, replication, fault.
@@ -1847,12 +1844,16 @@ pub fn run_serving_point(
     }
 }
 
-/// The serving grid at arbitrary torus dimensions: solo baselines for
-/// each tenant, the shared mix, and a diurnal run that phase-changes
-/// from off-peak (8× think time, no bulk) to the peak shared mix at
-/// half-time. Exposed separately from [`serving_sweep`] so tests can use
-/// small racks.
-pub fn serving_sweep_at(scale: Scale, dims: (u16, u16, u16)) -> Vec<ServingPoint> {
+/// The paper-facing multi-tenant serving study: on a 4×4×4 64-node rack,
+/// a closed-loop KV tenant and a bulk graph tenant on disjoint cores of
+/// every chip — solo baselines for each tenant, the shared mix, and a
+/// diurnal run that phase-changes from off-peak (8× think time, no bulk)
+/// to the peak shared mix at half-time. The claims
+/// `cargo bench --bench paper_tables -- serving` gates on — the KV
+/// tenant's p99 SLO under the shared mix, its goodput floor, and
+/// measurable cross-tenant interference — come from exactly this grid.
+pub fn serving_sweep(scale: Scale) -> Vec<ServingPoint> {
+    let dims = (4, 4, 4);
     let cycles = scale.rack_cycles();
     type Mk = fn() -> Box<dyn Scenario>;
     let grid: Vec<(&'static str, Mk, Option<Mk>)> = vec![
@@ -1869,16 +1870,6 @@ pub fn serving_sweep_at(scale: Scale, dims: (u16, u16, u16)) -> Vec<ServingPoint
         let phase2 = mk2.map(|f| f());
         run_serving_point(dims, case, mk().as_ref(), phase2.as_deref(), cycles)
     })
-}
-
-/// The paper-facing multi-tenant serving study: on a 4×4×4 64-node rack,
-/// a closed-loop KV tenant and a bulk graph tenant on disjoint cores of
-/// every chip, measured solo and shared. The claims the CI-run
-/// `examples/serving_study.rs` gates on — the KV tenant's p99 SLO under
-/// the shared mix, its goodput floor, and measurable cross-tenant
-/// interference — come from exactly this grid.
-pub fn serving_sweep(scale: Scale) -> Vec<ServingPoint> {
-    serving_sweep_at(scale, (4, 4, 4))
 }
 
 /// The KV tenant's interference index across a serving sweep: its p99
@@ -1936,3 +1927,19 @@ pub const LATENCY_SIZES: [u64; 9] = [64, 128, 256, 512, 1024, 2048, 4096, 8192, 
 
 /// The default size sweep of the paper's bandwidth figures (64B to 8KB).
 pub const BANDWIDTH_SIZES: [u64; 8] = [64, 128, 256, 512, 1024, 2048, 4096, 8192];
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn parse_scale_accepts_only_unset_quick_and_full() {
+        assert_eq!(parse_scale(None), Ok(Scale::Quick));
+        assert_eq!(parse_scale(Some("quick")), Ok(Scale::Quick));
+        assert_eq!(parse_scale(Some("full")), Ok(Scale::Full));
+        for typo in ["Full", "ful", "1", ""] {
+            let err = parse_scale(Some(typo)).expect_err(typo);
+            assert!(err.contains("quick") && err.contains("full"), "{err}");
+        }
+    }
+}

@@ -1,9 +1,10 @@
 //! Failure-injection integration tests: the tier-1-sized versions of the
-//! claims `examples/failure_study.rs` asserts at paper scale — a mid-run
-//! link kill that `fault-adaptive` routes around while dimension-order
-//! stalls into the ITT watchdog, a node kill that ends in error CQ entries
-//! instead of a hang, and healthy-fabric equivalence between
-//! `fault-adaptive` and `minimal-adaptive` through the whole rack stack.
+//! claims `cargo bench --bench paper_tables -- failure` asserts at paper
+//! scale — a mid-run link kill that `fault-adaptive` routes around while
+//! dimension-order stalls into the ITT watchdog, a node kill that ends in
+//! error CQ entries instead of a hang, and healthy-fabric equivalence
+//! between `fault-adaptive` and `minimal-adaptive` through the whole rack
+//! stack.
 
 use rackni::experiments::{run_failure_point, FailureParams, FaultCase};
 use rackni::ni_fabric::{FaultPlan, ReplicaCfg, RoutingKind, Torus3D};
@@ -53,8 +54,8 @@ fn fault_adaptive_completes_the_link_kill_job_dor_stalls_on() {
         "DOR must actually hit the dead link: {dor:?}"
     );
     // The structural form of the acceptance property (the strict >=2x
-    // completion-time version runs at 4x4x4 scale in
-    // `examples/failure_study.rs`, where the margin is wide): health-blind
+    // completion-time version runs at 4x4x4 scale in `paper_tables`'
+    // `failure` section, where the margin is wide): health-blind
     // routing stalls into the ITT watchdog and loses ops the detour-capable
     // policy saves, and pays more cycles doing it.
     assert!(

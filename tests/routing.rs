@@ -117,8 +117,8 @@ fn adaptive_routing_changes_paths_but_not_outcomes() {
 /// Zipf-hotspot traffic, minimal-adaptive routing spreads the hot node's
 /// incoming load over more links than dimension order, strictly reducing
 /// `link_byte_skew`, while completing the identical capped job. (The
-/// full-size 4x4x4 comparison runs in `examples/routing_study.rs`, which
-/// asserts the same property at the paper-facing scale.)
+/// full-size 4x4x4 comparison runs in `paper_tables`' `routing` section,
+/// which asserts the same property at the paper-facing scale.)
 #[test]
 fn adaptive_routing_reduces_zipf_link_skew() {
     let run = |routing: RoutingKind| {
